@@ -45,7 +45,6 @@ from .core import (
     validate,
 )
 from .dp import (
-    DpState,
     StateGraph,
     backward_induction,
     build_state_graph,

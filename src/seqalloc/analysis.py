@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -147,8 +146,7 @@ def verify_state_invariants(instance: Instance, graph: StateGraph) -> int:
         prefix_masks.append(masks)
 
     checked = 0
-    for state in graph.states:
-        taken = state.taken
+    for banked, taken in zip(graph.banked, graph.taken):
         favourites = []
         union = 0
         for a in range(1, n):
@@ -161,7 +159,7 @@ def verify_state_invariants(instance: Instance, graph: StateGraph) -> int:
             union |= prefix_masks[a - 1][pos]
         if union != taken:
             raise BoundViolationError(
-                f"state (k={state.banked}, taken={taken:b}) is not a union of scanned prefixes"
+                f"state (k={banked}, taken={taken:b}) is not a union of scanned prefixes"
             )
         if favourites:
             ranks = [rank for _, _, rank in favourites]
@@ -203,28 +201,47 @@ class SweepConfig:
     algorithms: tuple[str, ...] = ("dp",)
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "SweepConfig":
-        known = {field: doc[field] for field in doc}
-        unknown = set(known) - {
-            "agents",
-            "items",
-            "mu_manipulator",
-            "target_range_max",
-            "seeds",
-            "algorithms",
-        }
+    def from_json_dict(cls, doc: object) -> "SweepConfig":
+        """Build a config from parsed JSON, rejecting any other shape.
+
+        ``doc`` must be an object with list fields: agents, items and
+        seeds hold ints, mu_manipulator and target_range_max ints or
+        nulls, algorithms strings.  Anything else raises
+        InvalidInstanceError with code ``malformed``.
+        """
+        if not isinstance(doc, dict):
+            raise InvalidInstanceError("malformed", "sweep config must be a JSON object")
+        unknown = set(doc) - set(_CONFIG_FIELDS)
         if unknown:
-            raise ValueError(f"unknown sweep config keys: {sorted(unknown)}")
-        if "agents" not in known or "items" not in known:
-            raise ValueError("sweep config needs 'agents' and 'items' lists")
-        return cls(
-            agents=tuple(known["agents"]),
-            items=tuple(known["items"]),
-            mu_manipulator=tuple(known.get("mu_manipulator", [None])),
-            target_range_max=tuple(known.get("target_range_max", [None])),
-            seeds=tuple(known.get("seeds", [1])),
-            algorithms=tuple(known.get("algorithms", ["dp"])),
-        )
+            raise InvalidInstanceError("malformed", f"unknown sweep config keys: {sorted(unknown)}")
+        if "agents" not in doc or "items" not in doc:
+            raise InvalidInstanceError("malformed", "sweep config needs 'agents' and 'items' lists")
+        fields = {}
+        for name, (default, kind, accepts) in _CONFIG_FIELDS.items():
+            values = doc.get(name, default)
+            if not isinstance(values, list) or not all(accepts(value) for value in values):
+                raise InvalidInstanceError("malformed", f"sweep config field {name!r} must be a list of {kind}")
+            fields[name] = tuple(values)
+        return cls(**fields)
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_or_null(value: object) -> bool:
+    return value is None or _is_int(value)
+
+
+# Sweep config field -> (default, element description, element check).
+_CONFIG_FIELDS = {
+    "agents": (None, "ints", _is_int),
+    "items": (None, "ints", _is_int),
+    "mu_manipulator": ([None], "ints or nulls", _is_int_or_null),
+    "target_range_max": ([None], "ints or nulls", _is_int_or_null),
+    "seeds": ([1], "ints", _is_int),
+    "algorithms": (["dp"], "strings", lambda value: isinstance(value, str)),
+}
 
 
 SWEEP_COLUMNS = [
@@ -293,24 +310,19 @@ def _sweep_row(point: tuple) -> dict:
     return row
 
 
-def run_sweep(config: SweepConfig, threads: int = 1) -> list[dict]:
+def run_sweep(config: SweepConfig) -> list[dict]:
     """Run the whole grid; one result dict per point, in grid order.
 
     Failures never abort the sweep; they land in the row's status.
     """
-    grid = list(
-        itertools.product(
-            config.agents,
-            config.items,
-            config.mu_manipulator,
-            config.target_range_max,
-            config.seeds,
-            config.algorithms,
-        )
+    grid = itertools.product(
+        config.agents,
+        config.items,
+        config.mu_manipulator,
+        config.target_range_max,
+        config.seeds,
+        config.algorithms,
     )
-    if threads > 1 and len(grid) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_sweep_row, grid))
     return [_sweep_row(point) for point in grid]
 
 
@@ -328,6 +340,6 @@ def sweep_to_csv(rows: list[dict], timings: bool = False) -> str:
     return out.getvalue()
 
 
-def bench_sweep(config: SweepConfig, threads: int = 1, timings: bool = False) -> str:
+def bench_sweep(config: SweepConfig, timings: bool = False) -> str:
     """Sweep the grid and return the CSV report."""
-    return sweep_to_csv(run_sweep(config, threads=threads), timings=timings)
+    return sweep_to_csv(run_sweep(config), timings=timings)

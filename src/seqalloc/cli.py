@@ -59,12 +59,7 @@ def _note(message: str) -> None:
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = _load_instance(args.input)
     if args.algo == "dp":
-        result = solve_dp(
-            instance,
-            representation=args.representation,
-            max_states=args.max_states,
-            threads=args.threads,
-        )
+        result = solve_dp(instance, max_states=args.max_states)
     elif args.algo == "subset":
         result = solve_subset_enum(instance, budget=args.enum_budget)
     elif args.algo == "brute":
@@ -134,12 +129,7 @@ def _cmd_export_ilp(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     instance = _load_instance(args.input)
-    report = analysis.check_state_bounds(
-        instance,
-        representation=args.representation,
-        max_states=args.max_states,
-        threads=args.threads,
-    )
+    report = analysis.check_state_bounds(instance, max_states=args.max_states)
     if not report.bound_ok:
         raise analysis.BoundViolationError("ratio bound violated")
     _write_text(args.out, json.dumps(report.to_json_dict(), indent=2) + "\n")
@@ -154,10 +144,21 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     except json.JSONDecodeError as exc:
         raise InvalidInstanceError("malformed", f"sweep config is not valid JSON: {exc}")
     config = analysis.SweepConfig.from_json_dict(doc)
-    csv_text = analysis.bench_sweep(config, threads=args.threads, timings=args.timings)
+    csv_text = analysis.bench_sweep(config, timings=args.timings)
     _write_text(args.out, csv_text)
     _note(f"swept {len(csv_text.splitlines()) - 1} grid points")
     return EXIT_OK
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts and budgets: rejects anything below 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -175,11 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="compute an optimal manipulation")
     add_io(solve)
     solve.add_argument("--algo", choices=["dp", "subset", "brute", "ilp-naive"], default="dp")
-    solve.add_argument("--representation", choices=["auto", "item", "agent"], default="auto")
-    solve.add_argument("--max-states", type=int, default=2_000_000)
-    solve.add_argument("--enum-budget", type=int, default=5_000_000)
-    solve.add_argument("--brute-limit", type=int, default=8)
-    solve.add_argument("--threads", type=int, default=1)
+    solve.add_argument("--max-states", type=_positive_int, default=2_000_000)
+    solve.add_argument("--enum-budget", type=_positive_int, default=5_000_000)
+    solve.add_argument("--brute-limit", type=_positive_int, default=8)
     solve.add_argument("--timings", action="store_true", help="emit real wall times in the result")
     solve.set_defaults(func=_cmd_solve)
 
@@ -208,14 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="verify the ratio and state-count bounds")
     add_io(check)
-    check.add_argument("--representation", choices=["auto", "item", "agent"], default="auto")
-    check.add_argument("--max-states", type=int, default=2_000_000)
-    check.add_argument("--threads", type=int, default=1)
+    check.add_argument("--max-states", type=_positive_int, default=2_000_000)
     check.set_defaults(func=_cmd_check)
 
     bench = sub.add_parser("bench", help="run a parameter sweep, emit CSV")
     bench.add_argument("--config", required=True, help="sweep config JSON path")
-    bench.add_argument("--threads", type=int, default=1)
     bench.add_argument("--timings", action="store_true", help="emit real wall times in the CSV")
     add_io(bench, with_input=False)
     bench.set_defaults(func=_cmd_bench)

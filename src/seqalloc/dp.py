@@ -21,20 +21,19 @@ every reachable S equals the union of the prefixes that the other agents
 have scanned past, which caps the number of distinct sets well below
 2^m (see :func:`state_set_bounds` for the implemented caps).
 
-Two interchangeable state encodings are provided.  The item encoding
-keys states by the taken set itself (a bitmask); the agent encoding keys
-them by the vector of the non-manipulators' current favourite items,
-which identifies the taken set uniquely on all reachable states.  Both
-must and do produce identical graphs; the cross-check is part of the
-test suite.
+The same observation gives the state key.  On reachable states S is
+fixed by each non-manipulator's cursor, the position of her favourite
+remaining item in her ranking, so a state is identified by k and one int
+packing the cursor vector, and S rides along as a bitmask.  A claim or
+pick of item b advances only the cursors that pointed at b.  The graph
+is stored as flat parallel lists indexed by state id; induction and
+ranking recovery read the same lists.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 from .core import (
     MANIPULATOR,
@@ -46,61 +45,48 @@ from .core import (
     simulate,
 )
 
-ARC_SLOT = 0
-ARC_CLAIM = 1
-ARC_PICK = 2
-
 DEFAULT_MAX_STATES = 2_000_000
 
-_NO_ITEM = -1
-
-
-class DpState(NamedTuple):
-    """One dynamic-programming state: k banked picks on top of taken set."""
-
-    banked: int
-    taken: int  # bitmask over item indices
-
-
-class Arc(NamedTuple):
-    """Directed move between states; ``item`` is -1 for slot moves."""
-
-    kind: int
-    succ: int
-    item: int
+NONE = -1  # no successor, or no contested item
 
 
 @dataclass
 class StateGraph:
-    """Reachable-state graph, in a fixed deterministic processing order.
+    """Reachable-state graph as parallel lists indexed by state id.
 
-    ``states[i]`` lists states level by level (level = picks so far),
-    within a level by decreasing banked count; successors of a state
-    therefore always appear later, so one reverse sweep computes values.
-    ``values`` and ``choices`` stay None until backward induction ran.
+    Ids follow the processing order: level by level (level = picks so
+    far), within a level by decreasing banked count, then in discovery
+    order.  Every successor has a larger id than its state, so one
+    reverse sweep computes values; state 0 is the start (0, empty set).
+
+    ``first[s]`` is the slot successor on the manipulator's turns and the
+    claim successor otherwise, ``pick[s]`` the pick successor and
+    ``item[s]`` the item a non-manipulator is about to take; each is
+    NONE where the move does not exist.  ``values`` and ``choices`` (the
+    chosen successor, NONE at the end of the sequence) stay None until
+    backward induction ran.
     """
 
-    representation: str
-    num_items: int
-    states: list[DpState]
-    arcs: list[list[Arc]]
-    root: int
+    banked: list[int]
+    taken: list[int]  # bitmask over item indices
+    first: list[int]
+    pick: list[int]
+    item: list[int]
     distinct_sets: int  # distinct taken sets with items still on the table
     values: list[int] | None = None
     choices: list[int] | None = None
-    elapsed_ms: float = 0.0
 
     @property
     def num_states(self) -> int:
-        return len(self.states)
+        return len(self.banked)
 
     @property
     def num_arcs(self) -> int:
-        return sum(len(out) for out in self.arcs)
+        return 2 * len(self.banked) - self.first.count(NONE) - self.pick.count(NONE)
 
     def taken_sets(self) -> set[frozenset[int]]:
         """All distinct taken sets, as item-index sets."""
-        return {_mask_to_set(state.taken) for state in self.states}
+        return {_mask_to_set(mask) for mask in set(self.taken)}
 
 
 def _mask_to_set(mask: int) -> frozenset[int]:
@@ -112,152 +98,137 @@ def _mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(items)
 
 
-def build_state_graph(
-    instance: Instance,
-    representation: str = "auto",
-    max_states: int = DEFAULT_MAX_STATES,
-    threads: int = 1,
-) -> StateGraph:
+def build_state_graph(instance: Instance, max_states: int = DEFAULT_MAX_STATES) -> StateGraph:
     """Expand every reachable state from (0, empty set).
 
-    ``representation`` picks the deduplication key: "item" keys by taken
-    set, "agent" by the non-manipulators' favourite vector, "auto" lets
-    the implementation choose.  The resulting graphs are identical.
-    ``max_states`` caps the expansion; ``threads`` > 1 expands the states
-    of one level concurrently (the merge order stays deterministic, so
-    results are independent of the thread count).
+    ``max_states`` caps the number of states created; the error says how
+    far the expansion got.
     """
-    if representation == "auto":
-        representation = "agent" if instance.num_agents >= 3 else "item"
-    if representation not in ("item", "agent"):
-        raise ValueError(f"unknown state representation {representation!r}")
-
-    start = time.perf_counter()
     m = instance.num_items
     sequence = instance.sequence
-    by_agent = representation == "agent"
-    others = range(1, instance.num_agents)
-
-    # Per-state bookkeeping, indexed by state id.
-    banked: list[int] = [0]
-    taken: list[int] = [0]
-    favs: list[tuple[int, ...]] = []  # agent representation only
-    arcs: list[list[Arc]] = [[]]
-
-    def favourites(mask: int, start_positions: tuple[int, ...]) -> tuple[int, ...]:
-        out = []
-        for a in others:
-            row = instance.profile[a]
-            pos = start_positions[a - 1]
-            while pos < m and mask >> row[pos] & 1:
-                pos += 1
-            out.append(row[pos] if pos < m else _NO_ITEM)
-        return tuple(out)
-
-    position = [  # position[a - 1][i] = index of item i in agent a's ranking
-        {item: pos for pos, item in enumerate(instance.profile[a])} for a in others
+    mu = instance.manipulator_turns()
+    width = m.bit_length()  # a cursor runs from 0 to m (exhausted)
+    field = (1 << width) - 1
+    # Per non-manipulator: key shift, ranking and the bit of each ranked
+    # item; a sentinel past the end stops every scan at cursor m.
+    agents = [
+        (width * (a - 1), row + (NONE,), [1 << item for item in row] + [0])
+        for a, row in enumerate(instance.profile)
+        if a != MANIPULATOR
     ]
 
-    if by_agent:
-        favs.append(favourites(0, tuple(0 for _ in others)))
-        index: dict = {(0, favs[0]): 0}
-    else:
-        index = {(0, 0): 0}
+    banked: list[int] = []
+    taken: list[int] = []
+    first: list[int] = []
+    pick: list[int] = []
+    item: list[int] = []
+    # The buckets of the level being expanded and of the next one, by
+    # banked count.  A bucket maps each state's packed cursor key to its
+    # index within the bucket and lists the states' masks in that order.
+    # Arcs into the next level hold the target's index until the target
+    # bucket's first id is known; ``fixups`` records where they are.
+    buckets: dict[int, tuple[dict[int, int], list[int]]] = {0: ({0: 0}, [0])}
+    offsets: dict[tuple[int, int], int] = {}
+    fixups: list[tuple[list[int], int, int, tuple[int, int]]] = []
+    created = 1
 
-    # States of the level being expanded, bucketed by banked count.
-    buckets: dict[tuple[int, int], list[int]] = {(0, 0): [0]}
-    order: list[int] = []
+    def over_cap() -> ResourceLimitError:
+        return ResourceLimitError(
+            f"state graph exceeds max_states={max_states} at level {level} of {m} "
+            f"({created} states created)"
+        )
 
-    def expand(sid: int) -> list[tuple[int, int, int, int]]:
-        """Successor descriptors (kind, new_banked, new_mask, item) of one state."""
-        k = banked[sid]
-        mask = taken[sid]
-        level = k + mask.bit_count()
-        picker = sequence[level]
-        if picker == MANIPULATOR:
-            return [(ARC_SLOT, k + 1, mask, _NO_ITEM)]
-        if by_agent:
-            fav = favs[sid][picker - 1]
-        else:
+    def bucket_of(level_buckets: dict, k: int) -> tuple[dict[int, int], list[int]]:
+        found = level_buckets.get(k)
+        if found is None:
+            found = level_buckets[k] = ({}, [])
+        return found
+
+    for level in range(m + 1):
+        upcoming: dict[int, tuple[dict[int, int], list[int]]] = {}
+        for k in range(min(level, mu), -1, -1):
+            if k not in buckets:
+                continue
+            bucket_keys, bucket_masks = buckets.pop(k)
+            count = len(bucket_masks)
+            lo = len(banked)
+            offsets[level, k] = lo
+            banked.extend([k] * count)
+            taken.extend(bucket_masks)
+            if level == m:
+                first.extend([NONE] * count)
+                pick.extend([NONE] * count)
+                item.extend([NONE] * count)
+                continue
+            picker = sequence[level]
+            if picker == MANIPULATOR:
+                target_keys, target_masks = bucket_of(upcoming, k + 1)
+                for key, mask in zip(bucket_keys, bucket_masks):
+                    succ = target_keys.get(key)
+                    if succ is None:
+                        if created >= max_states:
+                            raise over_cap()
+                        created += 1
+                        succ = target_keys[key] = len(target_masks)
+                        target_masks.append(mask)
+                    first.append(succ)
+                pick.extend([NONE] * count)
+                item.extend([NONE] * count)
+                fixups.append((first, lo, lo + count, (level + 1, k + 1)))
+                continue
+
+            shift = agents[picker - 1][0]
             row = instance.profile[picker]
-            pos = 0
-            while mask >> row[pos] & 1:
-                pos += 1
-            fav = row[pos]
-        new_mask = mask | 1 << fav
-        moves = []
-        if k > 0:
-            moves.append((ARC_CLAIM, k - 1, new_mask, fav))
-        moves.append((ARC_PICK, k, new_mask, fav))
-        return moves
+            target_keys, target_masks = bucket_of(upcoming, k)
+            if k:
+                # The claim bucket (level, k - 1) is processed right after
+                # this one, so its ids start where this bucket's end.
+                claim_keys, claim_masks = bucket_of(buckets, k - 1)
+                claim_base = lo + count
+            else:
+                first.extend([NONE] * count)
+            for key, mask in zip(bucket_keys, bucket_masks):
+                fav = row[key >> shift & field]
+                new_mask = mask | 1 << fav
+                new_key = key
+                for agent_shift, ranking, bits in agents:
+                    cursor = key >> agent_shift & field
+                    if ranking[cursor] == fav:
+                        moved = cursor + 1
+                        while new_mask & bits[moved]:
+                            moved += 1
+                        new_key += moved - cursor << agent_shift
+                if k:
+                    succ = claim_keys.get(new_key)
+                    if succ is None:
+                        if created >= max_states:
+                            raise over_cap()
+                        created += 1
+                        succ = claim_keys[new_key] = len(claim_masks)
+                        claim_masks.append(new_mask)
+                    first.append(claim_base + succ)
+                succ = target_keys.get(new_key)
+                if succ is None:
+                    if created >= max_states:
+                        raise over_cap()
+                    created += 1
+                    succ = target_keys[new_key] = len(target_masks)
+                    target_masks.append(new_mask)
+                pick.append(succ)
+                item.append(fav)
+            fixups.append((pick, lo, lo + count, (level + 1, k)))
+        buckets = upcoming
 
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        for level in range(m + 1):
-            for k in range(min(level, instance.manipulator_turns()), -1, -1):
-                pending = buckets.pop((level, k), None)
-                if not pending:
-                    continue
-                order.extend(pending)
-                if level == m:
-                    continue
-                if pool is not None and len(pending) > 1:
-                    expansions = list(pool.map(expand, pending))
-                else:
-                    expansions = [expand(sid) for sid in pending]
-                for sid, moves in zip(pending, expansions):
-                    out = arcs[sid]
-                    for kind, new_k, new_mask, item in moves:
-                        if by_agent:
-                            if kind == ARC_SLOT:
-                                fav = favs[sid]
-                            else:
-                                base = tuple(position[a - 1][f] if f != _NO_ITEM else m for a, f in zip(others, favs[sid]))
-                                fav = favourites(new_mask, base)
-                            key = (new_k, fav)
-                        else:
-                            key = (new_k, new_mask)
-                        succ = index.get(key)
-                        if succ is None:
-                            succ = len(banked)
-                            if succ >= max_states:
-                                raise ResourceLimitError(
-                                    f"state graph exceeds max_states={max_states}; "
-                                    "raise the cap to solve this instance"
-                                )
-                            index[key] = succ
-                            banked.append(new_k)
-                            taken.append(new_mask)
-                            arcs.append([])
-                            if by_agent:
-                                favs.append(fav)
-                            new_level = new_k + new_mask.bit_count()
-                            buckets.setdefault((new_level, new_k), []).append(succ)
-                        out.append(Arc(kind, succ, item))
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+    for array, lo, hi, target in fixups:
+        base = offsets[target]
+        array[lo:hi] = [base + index for index in array[lo:hi]]
 
-    # Reindex into processing order so successors always come later.
-    rank = {sid: i for i, sid in enumerate(order)}
-    states = [DpState(banked[sid], taken[sid]) for sid in order]
-    ordered_arcs = [
-        [Arc(kind, rank[succ], item) for kind, succ, item in arcs[sid]] for sid in order
-    ]
     # The spent position (every item identified) is not a picking position;
     # the closed-form caps count sets where someone can still move, so it
-    # stays out of distinct_sets.  It still appears in states and taken_sets.
-    full = (1 << m) - 1
-    graph = StateGraph(
-        representation=representation,
-        num_items=m,
-        states=states,
-        arcs=ordered_arcs,
-        root=0,
-        distinct_sets=len({state.taken for state in states if state.taken != full}),
-    )
-    graph.elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return graph
+    # stays out of distinct_sets.  It still appears in taken and taken_sets.
+    distinct = set(taken)
+    distinct.discard((1 << m) - 1)
+    return StateGraph(banked, taken, first, pick, item, distinct_sets=len(distinct))
 
 
 def backward_induction(graph: StateGraph, utilities: tuple[int, ...]) -> int:
@@ -268,28 +239,31 @@ def backward_induction(graph: StateGraph, utilities: tuple[int, ...]) -> int:
     of them.  Ties between claiming and letting an agent pick go to the
     claim, which keeps the recovered ranking deterministic.
     """
-    total = sum(utilities)
-    values = [0] * len(graph.states)
-    choices = [0] * len(graph.states)
-    for sid in range(len(graph.states) - 1, -1, -1):
-        out = graph.arcs[sid]
-        if not out:
-            values[sid] = total - _mask_utility(graph.states[sid].taken, utilities)
-            continue
-        best = None
-        best_arc = 0
-        for arc_index, arc in enumerate(out):
-            value = values[arc.succ]
-            if arc.kind == ARC_CLAIM:
-                value += utilities[arc.item]
-            if best is None or value > best:
-                best = value
-                best_arc = arc_index
+    first, pick, item, taken = graph.first, graph.pick, graph.item, graph.taken
+    full = (1 << len(utilities)) - 1
+    size = graph.num_states
+    values = [0] * size
+    choices = [NONE] * size
+    for sid in range(size - 1, -1, -1):
+        succ = pick[sid]
+        claim = first[sid]
+        if succ != NONE:
+            best = values[succ]
+            if claim != NONE:
+                value = values[claim] + utilities[item[sid]]
+                if value >= best:
+                    best = value
+                    succ = claim
+        elif claim != NONE:
+            succ = claim
+            best = values[claim]
+        else:
+            best = _mask_utility(full ^ taken[sid], utilities)
         values[sid] = best
-        choices[sid] = best_arc
+        choices[sid] = succ
     graph.values = values
     graph.choices = choices
-    return values[graph.root]
+    return values[0]
 
 
 def _mask_utility(mask: int, utilities: tuple[int, ...]) -> int:
@@ -302,7 +276,7 @@ def _mask_utility(mask: int, utilities: tuple[int, ...]) -> int:
 
 
 def _recover_ranking(graph: StateGraph, instance: Instance) -> tuple[tuple[int, ...], frozenset[int]]:
-    """Read an optimal report off the chosen arcs.
+    """Read an optimal report off the chosen successors.
 
     Claimed items fill the manipulator's pick turns in claim order; banked
     picks still unresolved at the end are spent on the leftovers in
@@ -311,15 +285,15 @@ def _recover_ranking(graph: StateGraph, instance: Instance) -> tuple[tuple[int, 
     """
     assert graph.values is not None and graph.choices is not None
     claimed: list[int] = []
-    sid = graph.root
-    while graph.arcs[sid]:
-        arc = graph.arcs[sid][graph.choices[sid]]
-        if arc.kind == ARC_CLAIM:
-            claimed.append(arc.item)
-        sid = arc.succ
-    final = graph.states[sid]
+    sid = 0
+    while graph.choices[sid] != NONE:
+        succ = graph.choices[sid]
+        if succ == graph.first[sid] and graph.item[sid] != NONE:
+            claimed.append(graph.item[sid])
+        sid = succ
+    final = graph.taken[sid]
     truthful = instance.profile[MANIPULATOR]
-    leftovers = [item for item in truthful if not final.taken >> item & 1]
+    leftovers = [item for item in truthful if not final >> item & 1]
     mine = claimed + leftovers
     taken_by_me = set(mine)
     ranking = tuple(mine + [item for item in truthful if item not in taken_by_me])
@@ -347,12 +321,7 @@ def state_set_bounds(m: int, n: int, mu_manipulator: int, range_max: int | None)
     return bounds
 
 
-def solve_dp(
-    instance: Instance,
-    representation: str = "auto",
-    max_states: int = DEFAULT_MAX_STATES,
-    threads: int = 1,
-) -> ManipulationResult:
+def solve_dp(instance: Instance, max_states: int = DEFAULT_MAX_STATES) -> ManipulationResult:
     """Optimal manipulation by backward induction over the state graph.
 
     The returned ranking is replayed through :func:`simulate` before
@@ -360,7 +329,7 @@ def solve_dp(
     the protocol actually produces for that report.
     """
     start = time.perf_counter()
-    graph = build_state_graph(instance, representation=representation, max_states=max_states, threads=threads)
+    graph = build_state_graph(instance, max_states=max_states)
     value = backward_induction(graph, instance.utilities)
     ranking, bundle = _recover_ranking(graph, instance)
 

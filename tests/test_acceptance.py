@@ -83,11 +83,10 @@ def test_state_graph_exact_sets(running_example):
         frozenset({0, 1, 2}),
         frozenset({0, 2, 3}),
     }
-    for representation in ("item", "agent"):
-        graph = build_state_graph(running_example, representation=representation)
-        assert graph.num_states == 12
-        assert graph.distinct_sets == 6
-        assert graph.taken_sets() == expected
+    graph = build_state_graph(running_example)
+    assert graph.num_states == 12
+    assert graph.distinct_sets == 6
+    assert graph.taken_sets() == expected
     _passed("state-graph")
 
 
@@ -229,7 +228,6 @@ def test_deterministic_outputs(running_example):
 
     solved = run_cli("solve", stdin_text=generated).stdout
     assert run_cli("solve", stdin_text=generated).stdout == solved
-    assert run_cli("solve", "--threads", "2", stdin_text=generated).stdout == solved
 
     exported = run_cli("export-ilp", stdin_text=example_json).stdout
     assert run_cli("export-ilp", stdin_text=example_json).stdout == exported
@@ -239,10 +237,8 @@ def test_deterministic_outputs(running_example):
     assert run_cli("bench", "--config", "-", stdin_text=config_text).stdout == swept
 
     instance, _ = gen_random(17, 4, 8)
-    single = solve_dp(instance, threads=1)
-    pooled = solve_dp(instance, threads=3)
-    assert single.to_json() == pooled.to_json()
+    assert solve_dp(instance).to_json() == solve_dp(instance).to_json()
 
     config = SweepConfig(agents=(2, 3), items=(4, 5, 6), seeds=(1, 2), algorithms=("dp", "subset"))
-    assert bench_sweep(config, threads=2) == bench_sweep(config, threads=1)
+    assert bench_sweep(config) == bench_sweep(config)
     _passed("determinism")

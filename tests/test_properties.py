@@ -111,17 +111,6 @@ def test_achievability_certificates_replay(pair):
 
 @given(instances())
 @settings(deadline=None, max_examples=60)
-def test_state_graph_ignores_representation(instance):
-    by_item = build_state_graph(instance, representation="item")
-    by_agent = build_state_graph(instance, representation="agent")
-    assert by_item.num_states == by_agent.num_states
-    assert by_item.num_arcs == by_agent.num_arcs
-    assert by_item.distinct_sets == by_agent.distinct_sets
-    assert by_item.taken_sets() == by_agent.taken_sets()
-
-
-@given(instances())
-@settings(deadline=None, max_examples=60)
 def test_stored_states_satisfy_invariants(instance):
     graph = build_state_graph(instance)
     checked = verify_state_invariants(instance, graph)
