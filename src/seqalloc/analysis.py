@@ -305,6 +305,8 @@ def _sweep_row(point: tuple) -> dict:
         row["status"] = f"invalid:{exc.code}"
     except ResourceLimitError:
         row["status"] = "resource-limit"
+    except RuntimeError as exc:
+        row["status"] = f"internal:{exc}"
     except ValueError as exc:
         row["status"] = f"error:{exc}"
     return row

@@ -4,7 +4,8 @@ Machine-readable output (instance JSON, result JSON, LP text, CSV) goes
 to stdout or --out and is byte-identical across runs by default; wall
 times appear there only with --timings.  Human-oriented summaries go to
 stderr.  Exit codes: 0 success, 2 usage, 3 invalid input, 4 resource
-limit exceeded, 5 I/O failure.
+limit exceeded, 5 I/O failure, 6 internal error (a proven bound or a
+solver invariant failed, which can only mean a bug).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ EXIT_USAGE = 2
 EXIT_INVALID = 3
 EXIT_RESOURCE = 4
 EXIT_IO = 5
+EXIT_INTERNAL = 6
 
 
 def _read_text(path: str | None) -> str:
@@ -233,6 +235,9 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         _note(f"error[resource-limit]: {exc}")
         return EXIT_RESOURCE
+    except RuntimeError as exc:
+        _note(f"error[internal]: {exc}")
+        return EXIT_INTERNAL
     except OSError as exc:
         _note(f"error[io]: {exc}")
         return EXIT_IO

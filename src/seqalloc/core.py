@@ -110,9 +110,17 @@ class Instance:
             raise InvalidInstanceError("malformed", f"instance is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise InvalidInstanceError("malformed", "instance JSON must be an object")
-        missing = [key for key in ("items", "agents", "sequence", "profile", "utilities") if key not in doc]
+        fields = ("items", "agents", "sequence", "profile", "utilities")
+        missing = [key for key in fields if key not in doc]
         if missing:
             raise InvalidInstanceError("malformed", f"instance JSON lacks keys: {', '.join(missing)}")
+        # tuple() would split a string into characters, so only arrays pass.
+        for key in fields:
+            if not isinstance(doc[key], list):
+                raise InvalidInstanceError("malformed", f"instance field {key!r} must be a JSON array")
+        for a, row in enumerate(doc["profile"]):
+            if not isinstance(row, list):
+                raise InvalidInstanceError("malformed", f"profile row {a} must be a JSON array")
         try:
             return cls(
                 items=tuple(doc["items"]),

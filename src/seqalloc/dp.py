@@ -26,8 +26,9 @@ fixed by each non-manipulator's cursor, the position of her favourite
 remaining item in her ranking, so a state is identified by k and one int
 packing the cursor vector, and S rides along as a bitmask.  A claim or
 pick of item b advances only the cursors that pointed at b.  The graph
-is stored as flat parallel lists indexed by state id; induction and
-ranking recovery read the same lists.
+is stored as flat parallel lists indexed by state id, where a state's id
+is fixed when it is first discovered; a separate processing order drives
+backward induction.  Induction and ranking recovery read the same lists.
 """
 
 from __future__ import annotations
@@ -54,10 +55,12 @@ NONE = -1  # no successor, or no contested item
 class StateGraph:
     """Reachable-state graph as parallel lists indexed by state id.
 
-    Ids follow the processing order: level by level (level = picks so
-    far), within a level by decreasing banked count, then in discovery
-    order.  Every successor has a larger id than its state, so one
-    reverse sweep computes values; state 0 is the start (0, empty set).
+    Ids are handed out in discovery order, so state 0 is the start
+    (0, empty set), but a successor may have a smaller id than its state.
+    ``order`` lists the ids in processing order: level by level (level =
+    picks so far), within a level by decreasing banked count, then in
+    discovery order.  Every successor comes later in ``order`` than its
+    state, so one sweep over ``reversed(order)`` computes values.
 
     ``first[s]`` is the slot successor on the manipulator's turns and the
     claim successor otherwise, ``pick[s]`` the pick successor and
@@ -72,6 +75,7 @@ class StateGraph:
     first: list[int]
     pick: list[int]
     item: list[int]
+    order: list[int]  # every id once, successors after their states
     distinct_sets: int  # distinct taken sets with items still on the table
     values: list[int] | None = None
     choices: list[int] | None = None
@@ -117,79 +121,63 @@ def build_state_graph(instance: Instance, max_states: int = DEFAULT_MAX_STATES) 
         if a != MANIPULATOR
     ]
 
-    banked: list[int] = []
-    taken: list[int] = []
-    first: list[int] = []
-    pick: list[int] = []
-    item: list[int] = []
-    # The buckets of the level being expanded and of the next one, by
-    # banked count.  A bucket maps each state's packed cursor key to its
-    # index within the bucket and lists the states' masks in that order.
-    # Arcs into the next level hold the target's index until the target
-    # bucket's first id is known; ``fixups`` records where they are.
-    buckets: dict[int, tuple[dict[int, int], list[int]]] = {0: ({0: 0}, [0])}
-    offsets: dict[tuple[int, int], int] = {}
-    fixups: list[tuple[list[int], int, int, tuple[int, int]]] = []
-    created = 1
+    # Every list gets its entry when a state is discovered, so each arc
+    # is written once, with its final id.  The buckets of the level being
+    # expanded and of the next one map banked count -> {packed cursor key:
+    # state id}; ``order`` lists the ids bucket by bucket as they are
+    # expanded, which is the processing order.
+    banked = [0]
+    taken = [0]
+    first = [NONE]
+    pick = [NONE]
+    item = [NONE]
+    order: list[int] = []
+    buckets: dict[int, dict[int, int]] = {0: {0: 0}}
 
     def over_cap() -> ResourceLimitError:
         return ResourceLimitError(
             f"state graph exceeds max_states={max_states} at level {level} of {m} "
-            f"({created} states created)"
+            f"({len(banked)} states created)"
         )
 
-    def bucket_of(level_buckets: dict, k: int) -> tuple[dict[int, int], list[int]]:
-        found = level_buckets.get(k)
-        if found is None:
-            found = level_buckets[k] = ({}, [])
-        return found
-
     for level in range(m + 1):
-        upcoming: dict[int, tuple[dict[int, int], list[int]]] = {}
+        upcoming: dict[int, dict[int, int]] = {}
         for k in range(min(level, mu), -1, -1):
-            if k not in buckets:
+            bucket = buckets.get(k)
+            if bucket is None:
                 continue
-            bucket_keys, bucket_masks = buckets.pop(k)
-            count = len(bucket_masks)
-            lo = len(banked)
-            offsets[level, k] = lo
-            banked.extend([k] * count)
-            taken.extend(bucket_masks)
+            order.extend(bucket.values())
             if level == m:
-                first.extend([NONE] * count)
-                pick.extend([NONE] * count)
-                item.extend([NONE] * count)
                 continue
             picker = sequence[level]
             if picker == MANIPULATOR:
-                target_keys, target_masks = bucket_of(upcoming, k + 1)
-                for key, mask in zip(bucket_keys, bucket_masks):
-                    succ = target_keys.get(key)
-                    if succ is None:
-                        if created >= max_states:
-                            raise over_cap()
-                        created += 1
-                        succ = target_keys[key] = len(target_masks)
-                        target_masks.append(mask)
-                    first.append(succ)
-                pick.extend([NONE] * count)
-                item.extend([NONE] * count)
-                fixups.append((first, lo, lo + count, (level + 1, k + 1)))
+                # Only this bucket feeds (level + 1, k + 1), and keys are
+                # unique within it, so every slot successor is new.
+                target = upcoming[k + 1] = {}
+                for key, sid in bucket.items():
+                    succ = len(banked)
+                    if succ >= max_states:
+                        raise over_cap()
+                    target[key] = first[sid] = succ
+                    banked.append(k + 1)
+                    taken.append(taken[sid])
+                    first.append(NONE)
+                    pick.append(NONE)
+                    item.append(NONE)
                 continue
 
             shift = agents[picker - 1][0]
             row = instance.profile[picker]
-            target_keys, target_masks = bucket_of(upcoming, k)
+            target = upcoming[k] = {}
             if k:
-                # The claim bucket (level, k - 1) is processed right after
-                # this one, so its ids start where this bucket's end.
-                claim_keys, claim_masks = bucket_of(buckets, k - 1)
-                claim_base = lo + count
-            else:
-                first.extend([NONE] * count)
-            for key, mask in zip(bucket_keys, bucket_masks):
+                # The claim bucket (level, k - 1) is expanded right after
+                # this one, so its new states land there in time.
+                claims = buckets.get(k - 1)
+                if claims is None:
+                    claims = buckets[k - 1] = {}
+            for key, sid in bucket.items():
                 fav = row[key >> shift & field]
-                new_mask = mask | 1 << fav
+                new_mask = taken[sid] | 1 << fav
                 new_key = key
                 for agent_shift, ranking, bits in agents:
                     cursor = key >> agent_shift & field
@@ -199,36 +187,39 @@ def build_state_graph(instance: Instance, max_states: int = DEFAULT_MAX_STATES) 
                             moved += 1
                         new_key += moved - cursor << agent_shift
                 if k:
-                    succ = claim_keys.get(new_key)
+                    succ = claims.get(new_key)
                     if succ is None:
-                        if created >= max_states:
+                        succ = len(banked)
+                        if succ >= max_states:
                             raise over_cap()
-                        created += 1
-                        succ = claim_keys[new_key] = len(claim_masks)
-                        claim_masks.append(new_mask)
-                    first.append(claim_base + succ)
-                succ = target_keys.get(new_key)
+                        claims[new_key] = succ
+                        banked.append(k - 1)
+                        taken.append(new_mask)
+                        first.append(NONE)
+                        pick.append(NONE)
+                        item.append(NONE)
+                    first[sid] = succ
+                succ = target.get(new_key)
                 if succ is None:
-                    if created >= max_states:
+                    succ = len(banked)
+                    if succ >= max_states:
                         raise over_cap()
-                    created += 1
-                    succ = target_keys[new_key] = len(target_masks)
-                    target_masks.append(new_mask)
-                pick.append(succ)
-                item.append(fav)
-            fixups.append((pick, lo, lo + count, (level + 1, k)))
+                    target[new_key] = succ
+                    banked.append(k)
+                    taken.append(new_mask)
+                    first.append(NONE)
+                    pick.append(NONE)
+                    item.append(NONE)
+                pick[sid] = succ
+                item[sid] = fav
         buckets = upcoming
-
-    for array, lo, hi, target in fixups:
-        base = offsets[target]
-        array[lo:hi] = [base + index for index in array[lo:hi]]
 
     # The spent position (every item identified) is not a picking position;
     # the closed-form caps count sets where someone can still move, so it
     # stays out of distinct_sets.  It still appears in taken and taken_sets.
     distinct = set(taken)
     distinct.discard((1 << m) - 1)
-    return StateGraph(banked, taken, first, pick, item, distinct_sets=len(distinct))
+    return StateGraph(banked, taken, first, pick, item, order, distinct_sets=len(distinct))
 
 
 def backward_induction(graph: StateGraph, utilities: tuple[int, ...]) -> int:
@@ -244,7 +235,7 @@ def backward_induction(graph: StateGraph, utilities: tuple[int, ...]) -> int:
     size = graph.num_states
     values = [0] * size
     choices = [NONE] * size
-    for sid in range(size - 1, -1, -1):
+    for sid in reversed(graph.order):
         succ = pick[sid]
         claim = first[sid]
         if succ != NONE:

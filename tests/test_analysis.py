@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import seeded_instances
+from seqalloc import analysis
 from seqalloc import (
     BoundViolationError,
     Instance,
@@ -148,6 +149,20 @@ def test_sweep_survives_resource_limited_rows():
     config = SweepConfig(agents=(2,), items=(9,), algorithms=("brute", "dp"))
     rows = run_sweep(config)
     assert rows[0]["status"] == "resource-limit"
+    assert rows[0]["optimal_utility"] is None
+    assert rows[1]["status"] == "ok"
+
+
+def test_sweep_survives_internal_errors(monkeypatch):
+    """An internal error marks its row; the rest of the grid still runs."""
+
+    def broken(instance):
+        raise RuntimeError("internal error: recovered ranking does not replay")
+
+    monkeypatch.setitem(analysis._SOLVERS, "brute", broken)
+    config = SweepConfig(agents=(2,), items=(4,), algorithms=("brute", "dp"))
+    rows = run_sweep(config)
+    assert rows[0]["status"] == "internal:internal error: recovered ranking does not replay"
     assert rows[0]["optimal_utility"] is None
     assert rows[1]["status"] == "ok"
 

@@ -4,7 +4,14 @@ import sys
 
 import pytest
 
-from seqalloc import SWEEP_COLUMNS, Instance, gen_random
+from seqalloc import (
+    SWEEP_COLUMNS,
+    BoundViolationError,
+    InfeasibleModelError,
+    Instance,
+    cli,
+    gen_random,
+)
 
 CLIQUE_GRAPH = "5 5\n1 2\n1 3\n2 3\n3 4\n4 5\n"
 MCC_GRAPH = "4 3\n1 3\n1 4\n2 3\ncolor 1 1\ncolor 2 1\ncolor 3 2\ncolor 4 2\n"
@@ -211,6 +218,51 @@ def test_exit_code_for_malformed_instance():
     proc = run_cli("solve", stdin_text="{broken")
     assert proc.returncode == 3
     assert "error[malformed]" in proc.stderr
+
+
+@pytest.mark.parametrize("field", ["items", "agents", "sequence", "profile", "utilities", "profile row"])
+def test_string_where_a_list_belongs_is_malformed(running_example, field):
+    """A string would otherwise be split into characters: "ab" -> items a, b."""
+    doc = json.loads(running_example.to_json())
+    if field == "profile row":
+        doc["profile"][1] = "2301"
+    else:
+        doc[field] = "ab"
+    proc = run_cli("solve", stdin_text=json.dumps(doc))
+    assert proc.returncode == 3
+    assert proc.stderr.count("error[") == 1
+    assert "error[malformed]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def _raise(error):
+    def solver(*args, **kwargs):
+        raise error
+
+    return solver
+
+
+@pytest.mark.parametrize(
+    "command, target, error",
+    [
+        ("check", "seqalloc.analysis.check_state_bounds", BoundViolationError("state cap m_pow exceeded")),
+        ("solve --algo ilp-naive", "seqalloc.cli.solve_naive", InfeasibleModelError("no pick satisfies the greedy rows")),
+        (
+            "solve",
+            "seqalloc.cli.solve_dp",
+            RuntimeError("internal error: recovered ranking does not replay to the computed optimum"),
+        ),
+    ],
+    ids=["bound-violation", "infeasible-model", "dp-replay"],
+)
+def test_internal_errors_exit_6(monkeypatch, capsys, tmp_path, example_json, command, target, error):
+    path = tmp_path / "instance.json"
+    path.write_text(example_json)
+    monkeypatch.setattr(target, _raise(error))
+    assert cli.main([*command.split(), "--in", str(path)]) == cli.EXIT_INTERNAL == 6
+    err = capsys.readouterr().err
+    assert err.count("error[") == 1
+    assert f"error[internal]: {error}" in err
 
 
 def test_exit_code_for_missing_input_file():

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from conftest import seeded_instances
 from seqalloc import (
@@ -13,6 +14,11 @@ from seqalloc import (
     truthful_utility,
 )
 from seqalloc.core import MANIPULATOR
+from seqalloc.dp import NONE
+from test_dp_golden import golden_cases
+from test_properties import instances
+
+GOLDEN_CASES = golden_cases()
 
 
 def _state_keys(graph, instance, view):
@@ -176,3 +182,29 @@ def test_never_worse_than_truthful_never_twice(running_example):
 def test_max_states_guard(running_example):
     with pytest.raises(ResourceLimitError, match=r"max_states=3 at level 1 of 4 \(3 states created\)"):
         build_state_graph(running_example, max_states=3)
+
+
+def _assert_order_contract(graph):
+    """Ids are discovery ids; ``order`` is a topological order from the root."""
+    order = graph.order
+    assert sorted(order) == list(range(graph.num_states))
+    assert order[0] == 0
+    assert (graph.banked[0], graph.taken[0]) == (0, 0)
+    position = [0] * graph.num_states
+    for place, sid in enumerate(order):
+        position[sid] = place
+    for sid in range(graph.num_states):
+        for succ in (graph.first[sid], graph.pick[sid]):
+            if succ != NONE:
+                assert position[succ] > position[sid], (sid, succ)
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_CASES))
+def test_order_is_topological_on_golden_instances(case):
+    _assert_order_contract(build_state_graph(GOLDEN_CASES[case]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(max_agents=4, max_items=8))
+def test_order_is_topological(instance):
+    _assert_order_contract(build_state_graph(instance))
