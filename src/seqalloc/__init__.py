@@ -3,11 +3,12 @@
 Agents pick items one at a time along a fixed sequence; everyone picks
 greedily by their declared ranking.  One strategic agent may misreport
 hers.  This package computes her optimal report exactly (dynamic
-programming over reachable states, plus three independent cross-check
+programming over reachable states, plus two exhaustive cross-check
 solvers), decides whether specific item sets are securable, exports the
-problem as an integer program, generates structured instance families
-including two clique-hardness gadgets, and verifies the known bounds on
-manipulation gain and state-graph size.
+problem as an integer program in LP text for external MILP solvers,
+generates structured instance families including two clique-hardness
+gadgets, and verifies the known bounds on manipulation gain and
+state-graph size.
 """
 
 from .achievability import (
@@ -42,7 +43,6 @@ from .core import (
     profile_metrics,
     simulate,
     truthful_utility,
-    validate,
 )
 from .dp import (
     StateGraph,
@@ -67,13 +67,11 @@ from .generators import (
 )
 from .ilp import (
     GreedyRow,
-    InfeasibleModelError,
     IpModel,
     assignment_is_feasible,
     build_model,
     export_lp,
     parse_lp,
-    solve_naive,
 )
 
 __version__ = "0.1.0"

@@ -11,8 +11,10 @@ held to by the test suite.
 
 On top of the check sit two exhaustive solvers for the best-response
 problem: one enumerating candidate bundles (exponential only in the
-number of the manipulator's turns) and one enumerating entire reported
-rankings (factorial, cross-check only).
+number of the manipulator's turns) and one taking the best
+:func:`~seqalloc.core.simulate` run over all reported rankings
+(factorial, cross-check only).  Every replay here picks through
+:func:`~seqalloc.core.greedy_pick`, the same kernel as ``simulate``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .core import (
     MANIPULATOR,
@@ -29,6 +31,7 @@ from .core import (
     ManipulationResult,
     ResourceLimitError,
     bundle_utility,
+    greedy_pick,
     simulate,
 )
 
@@ -90,25 +93,17 @@ def is_achievable(instance: Instance, target: Iterable[int]) -> AchievabilityCer
     secured: list[int] = []
 
     for step, agent in enumerate(sequence):
-        if agent == MANIPULATOR:
-            if unsecured:
-                item = _most_endangered(instance, taken, cursors, step, unsecured, truthful_pos)
-                unsecured.discard(item)
-                secured.append(item)
-            else:
-                item = next(i for i in profile[MANIPULATOR] if not taken[i])
+        if agent != MANIPULATOR:
+            if greedy_pick(profile[agent], cursors, agent, taken) in unsecured:
+                return AchievabilityCertificate(False)
+        elif unsecured:
+            item = _most_endangered(instance, taken, cursors, step, unsecured, truthful_pos)
+            unsecured.discard(item)
+            secured.append(item)
             taken[item] = True
             my_picks.append(item)
         else:
-            row = profile[agent]
-            cursor = cursors[agent]
-            while taken[row[cursor]]:
-                cursor += 1
-            cursors[agent] = cursor + 1
-            item = row[cursor]
-            if item in unsecured:
-                return AchievabilityCertificate(False)
-            taken[item] = True
+            my_picks.append(greedy_pick(profile[MANIPULATOR], cursors, MANIPULATOR, taken))
 
     mine = set(my_picks)
     ranking = tuple(my_picks + [item for item in profile[MANIPULATOR] if item not in mine])
@@ -132,13 +127,7 @@ def _most_endangered(
         agent = instance.sequence[t]
         if agent == MANIPULATOR:
             continue
-        row = instance.profile[agent]
-        cursor = hypo_cursors[agent]
-        while hypothetical[row[cursor]]:
-            cursor += 1
-        hypo_cursors[agent] = cursor + 1
-        item = row[cursor]
-        hypothetical[item] = True
+        item = greedy_pick(instance.profile[agent], hypo_cursors, agent, hypothetical)
         if item in unsecured:
             removal[item] = t
             missing -= 1
@@ -176,23 +165,17 @@ def is_achievable_oracle(
         my_picks: list[int] = []
         next_target = 0
         for agent in instance.sequence:
-            if agent == MANIPULATOR:
-                if next_target < len(order):
-                    item = order[next_target]
-                    if taken[item]:
-                        break
-                    next_target += 1
-                else:
-                    item = next(i for i in profile[MANIPULATOR] if not taken[i])
+            if agent != MANIPULATOR:
+                greedy_pick(profile[agent], cursors, agent, taken)
+            elif next_target < len(order):
+                item = order[next_target]
+                if taken[item]:
+                    break
+                next_target += 1
                 taken[item] = True
                 my_picks.append(item)
             else:
-                row = profile[agent]
-                cursor = cursors[agent]
-                while taken[row[cursor]]:
-                    cursor += 1
-                cursors[agent] = cursor + 1
-                taken[row[cursor]] = True
+                my_picks.append(greedy_pick(profile[MANIPULATOR], cursors, MANIPULATOR, taken))
         else:
             if next_target == len(order):
                 mine = set(my_picks)
@@ -201,24 +184,15 @@ def is_achievable_oracle(
     return AchievabilityCertificate(False)
 
 
-def _colex_subsets(m: int, size: int) -> Iterator[tuple[int, ...]]:
-    """All sorted ``size``-subsets of range(m) in colexicographic order."""
-    if size == 0:
-        yield ()
-        return
-    for top in range(size - 1, m):
-        for rest in _colex_subsets(top, size - 1):
-            yield rest + (top,)
-
-
 def solve_subset_enum(instance: Instance, budget: int = DEFAULT_SUBSET_BUDGET) -> ManipulationResult:
     """Optimal manipulation by enumerating candidate bundles.
 
     With mu picking turns the optimal bundle has exactly mu items, so
     enumerating the C(m, mu) item sets and keeping the best achievable
-    one is exact.  Subsets are visited in colex order; a subset is tested
-    only when it beats the incumbent (the truthful bundle seeds it, being
-    always achievable), which prunes almost all achievability calls.
+    one is exact.  Subsets are visited in lexicographic order; a subset
+    is tested only when it beats the incumbent (the truthful bundle
+    seeds it, being always achievable), which prunes almost all
+    achievability calls.
     Ties in value resolve to the lexicographically smallest sorted set.
     """
     start = time.perf_counter()
@@ -236,7 +210,7 @@ def solve_subset_enum(instance: Instance, budget: int = DEFAULT_SUBSET_BUDGET) -
     best_value = bundle_utility(instance, best_set)
     best_certificate: AchievabilityCertificate | None = None
     checks = 0
-    for subset in _colex_subsets(m, mu):
+    for subset in itertools.combinations(range(m), mu):
         value = sum(utilities[item] for item in subset)
         if value < best_value or (value == best_value and subset >= best_set):
             continue
@@ -282,31 +256,11 @@ def solve_bruteforce_rankings(
         )
     start = time.perf_counter()
     m = instance.num_items
-    n = instance.num_agents
-    sequence = instance.sequence
-    profile = instance.profile
-    utilities = instance.utilities
 
-    best_value = -1
-    best_ranking: tuple[int, ...] | None = None
-    for ranking in itertools.permutations(range(m)):
-        taken = [False] * m
-        cursors = [0] * n
-        value = 0
-        for agent in sequence:
-            row = ranking if agent == MANIPULATOR else profile[agent]
-            cursor = cursors[agent]
-            while taken[row[cursor]]:
-                cursor += 1
-            cursors[agent] = cursor + 1
-            item = row[cursor]
-            taken[item] = True
-            if agent == MANIPULATOR:
-                value += utilities[item]
-        if value > best_value:
-            best_value = value
-            best_ranking = ranking
+    def value(ranking: tuple[int, ...]) -> int:
+        return bundle_utility(instance, simulate(instance, ranking).bundles[MANIPULATOR])
 
+    best_ranking = max(itertools.permutations(range(m)), key=value)
     bundle = simulate(instance, best_ranking).bundles[MANIPULATOR]
     elapsed = (time.perf_counter() - start) * 1000.0
     stats = {
@@ -315,7 +269,7 @@ def solve_bruteforce_rankings(
         "elapsed_ms": elapsed,
     }
     return ManipulationResult(
-        optimal_utility=best_value,
+        optimal_utility=bundle_utility(instance, bundle),
         ranking=best_ranking,
         bundle=bundle,
         stats=stats,

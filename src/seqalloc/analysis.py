@@ -29,7 +29,6 @@ from .core import (
 )
 from .dp import StateGraph, build_state_graph, solve_dp, state_set_bounds
 from .generators import gen_correlated, gen_random
-from .ilp import build_model, solve_naive
 
 
 class BoundViolationError(RuntimeError):
@@ -151,6 +150,8 @@ def verify_state_invariants(instance: Instance, graph: StateGraph) -> int:
         union = 0
         for a in range(1, n):
             row = instance.profile[a]
+            # Scanned from the mask here, not through core.greedy_pick: this
+            # checks the DP's states, so it must not share the protocol code.
             pos = 0
             while pos < m and taken >> row[pos] & 1:
                 pos += 1
@@ -269,7 +270,6 @@ _SOLVERS = {
     "dp": lambda instance: solve_dp(instance),
     "subset": lambda instance: solve_subset_enum(instance),
     "brute": lambda instance: solve_bruteforce_rankings(instance),
-    "ilp-naive": lambda instance: solve_naive(build_model(instance)),
 }
 
 

@@ -25,7 +25,7 @@ from .core import (
     truthful_utility,
 )
 from .dp import solve_dp
-from .ilp import build_model, export_lp, solve_naive
+from .ilp import build_model, export_lp
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -64,10 +64,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         result = solve_dp(instance, max_states=args.max_states)
     elif args.algo == "subset":
         result = solve_subset_enum(instance, budget=args.enum_budget)
-    elif args.algo == "brute":
-        result = solve_bruteforce_rankings(instance, limit=args.brute_limit)
     else:
-        result = solve_naive(build_model(instance), limit=args.brute_limit)
+        result = solve_bruteforce_rankings(instance, limit=args.brute_limit)
     _write_text(args.out, result.to_json(timings=args.timings))
     _note(
         f"{args.algo}: optimal utility {result.optimal_utility} "
@@ -177,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="compute an optimal manipulation")
     add_io(solve)
-    solve.add_argument("--algo", choices=["dp", "subset", "brute", "ilp-naive"], default="dp")
+    solve.add_argument("--algo", choices=["dp", "subset", "brute"], default="dp")
     solve.add_argument("--max-states", type=_positive_int, default=2_000_000)
     solve.add_argument("--enum-budget", type=_positive_int, default=5_000_000)
     solve.add_argument("--brute-limit", type=_positive_int, default=8)

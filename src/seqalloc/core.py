@@ -195,12 +195,6 @@ def _require_permutation(row: Sequence[int], m: int, label: str) -> None:
         seen[item] = True
 
 
-def validate(instance: Instance) -> Instance:
-    """Re-run all structural checks and hand the instance back."""
-    _check_instance(instance)
-    return instance
-
-
 @dataclass(frozen=True)
 class Allocation:
     """Outcome of one full run of the picking protocol.
@@ -217,6 +211,23 @@ class Allocation:
             "bundles": [sorted(bundle) for bundle in self.bundles],
             "pick_log": [list(entry) for entry in self.pick_log],
         }
+
+
+def greedy_pick(row: Sequence[int], cursors: list[int], agent: int, taken: list[bool]) -> int:
+    """One greedy pick: ``agent`` takes her favourite item still on the table.
+
+    ``row`` is the ranking she picks along and ``cursors[agent]`` her
+    position in it; the cursor moves past taken items, lands one beyond
+    the picked item, and the item is marked taken.  Every list-based
+    replay of the protocol in the package picks through this function.
+    """
+    cursor = cursors[agent]
+    while taken[row[cursor]]:
+        cursor += 1
+    cursors[agent] = cursor + 1
+    item = row[cursor]
+    taken[item] = True
+    return item
 
 
 def simulate(instance: Instance, reported_ranking: Sequence[int] | None = None) -> Allocation:
@@ -239,13 +250,7 @@ def simulate(instance: Instance, reported_ranking: Sequence[int] | None = None) 
     bundles: list[list[int]] = [[] for _ in range(n)]
     log = []
     for step, agent in enumerate(instance.sequence, start=1):
-        row = rows[agent]
-        cursor = cursors[agent]
-        while taken[row[cursor]]:
-            cursor += 1
-        item = row[cursor]
-        cursors[agent] = cursor + 1
-        taken[item] = True
+        item = greedy_pick(rows[agent], cursors, agent, taken)
         bundles[agent].append(item)
         log.append((step, agent, item))
     return Allocation(

@@ -42,6 +42,7 @@ from .core import (
     ManipulationResult,
     ResourceLimitError,
     bundle_utility,
+    greedy_pick,
     profile_metrics,
     simulate,
 )
@@ -179,6 +180,8 @@ def build_state_graph(instance: Instance, max_states: int = DEFAULT_MAX_STATES) 
                 fav = row[key >> shift & field]
                 new_mask = taken[sid] | 1 << fav
                 new_key = key
+                # Inline bitmask scan rather than core.greedy_pick: this is
+                # the hot loop of the build, and it moves several cursors.
                 for agent_shift, ranking, bits in agents:
                     cursor = key >> agent_shift & field
                     if ranking[cursor] == fav:
@@ -364,13 +367,7 @@ def forced_sets(instance: Instance) -> tuple[frozenset[int], ...]:
     cursors = [0] * instance.num_agents
     picks: list[int] = []
     for agent in reduced:
-        row = instance.profile[agent]
-        cursor = cursors[agent]
-        while taken[row[cursor]]:
-            cursor += 1
-        cursors[agent] = cursor + 1
-        taken[row[cursor]] = True
-        picks.append(row[cursor])
+        picks.append(greedy_pick(instance.profile[agent], cursors, agent, taken))
 
     manip_turns = 0
     sets = [frozenset()]

@@ -10,24 +10,17 @@ sums the manipulator's utilities over her steps only.
 
 This module writes and parses the model as LP-format text so it can be
 diffed and fed to off-the-shelf MILP solvers; no solver is linked in.
-``solve_naive`` enumerates the feasible assignments directly (non-
-manipulator steps are forced moves, so only the manipulator's steps
-branch) and exists to validate the encoding on small instances, not to
-compete with the dynamic program.
+The test suite solves the exported text with an external MILP solver
+and holds its optimum to the dynamic program's, which checks the
+encoding with code that shares nothing with the package's solvers.
 """
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import MANIPULATOR, Instance, ManipulationResult, ResourceLimitError
-
-
-class InfeasibleModelError(RuntimeError):
-    """The model admits no assignment; the construction must be buggy."""
+from .core import MANIPULATOR, Instance
 
 
 class GreedyRow(NamedTuple):
@@ -215,88 +208,6 @@ def parse_lp(text: str) -> IpModel:
         manipulator_steps=steps,
         greedy_rows=tuple(greedy_rows),
     )
-
-
-def solve_naive(model: IpModel, limit: int = 8) -> ManipulationResult:
-    """Exact solve by walking the assignments the rows leave feasible.
-
-    Greedy rows make every non-manipulator step a forced move given the
-    earlier picks, so the search branches only at manipulator steps,
-    trying items in decreasing utility.  The first assignment attaining
-    the best value is kept, making the result deterministic.
-    """
-    m = model.num_items
-    if m > limit:
-        raise ResourceLimitError(f"naive model search refuses more than {limit} items (got {m})")
-    start = time.perf_counter()
-
-    forced_order: dict[int, list[GreedyRow]] = {}
-    for row in model.greedy_rows:
-        forced_order.setdefault(row.step, []).append(row)
-    for rows in forced_order.values():
-        rows.sort(key=lambda row: len(row.better))
-
-    manip_steps = set(model.manipulator_steps)
-    by_utility = sorted(range(1, m + 1), key=lambda item: -model.utilities[item - 1])
-
-    best_value = -1
-    best_picks: list[int] | None = None
-    leaves = 0
-    picks: list[int] = []
-    picked = [False] * (m + 1)
-
-    def walk(step: int, value: int) -> None:
-        nonlocal best_value, best_picks, leaves
-        if step > m:
-            leaves += 1
-            if value > best_value:
-                best_value = value
-                best_picks = picks.copy()
-            return
-        if step in manip_steps:
-            for item in by_utility:
-                if picked[item]:
-                    continue
-                picked[item] = True
-                picks.append(item)
-                walk(step + 1, value + model.utilities[item - 1])
-                picks.pop()
-                picked[item] = False
-            return
-        item = _forced_pick(forced_order.get(step, ()), picked)
-        picked[item] = True
-        picks.append(item)
-        walk(step + 1, value)
-        picks.pop()
-        picked[item] = False
-
-    walk(1, 0)
-    assert best_picks is not None
-
-    manipulator_items = [best_picks[step - 1] for step in sorted(manip_steps)]
-    mine = set(manipulator_items)
-    ranking = tuple(
-        item - 1 for item in manipulator_items + [j for j in by_utility if j not in mine]
-    )
-    elapsed = (time.perf_counter() - start) * 1000.0
-    stats = {
-        "algorithm": "ilp-naive",
-        "assignments_explored": leaves,
-        "elapsed_ms": elapsed,
-    }
-    return ManipulationResult(
-        optimal_utility=best_value,
-        ranking=ranking,
-        bundle=frozenset(item - 1 for item in manipulator_items),
-        stats=stats,
-    )
-
-
-def _forced_pick(rows: list[GreedyRow], picked: list[bool]) -> int:
-    for row in rows:
-        if not picked[row.item] and all(picked[j] for j in row.better):
-            return row.item
-    raise InfeasibleModelError("no pick satisfies the greedy rows; the model is malformed")
 
 
 def assignment_is_feasible(model: IpModel, pick_at_step: dict[int, int]) -> bool:

@@ -1,6 +1,8 @@
+from typing import NamedTuple
+
 import pytest
 
-from seqalloc import Instance, gen_correlated, gen_random
+from seqalloc import Instance, gen_correlated, gen_random, parse_lp
 from seqalloc.rng import stream
 
 
@@ -55,3 +57,63 @@ def seeded_targets(instance: Instance, size: int, tag: str):
     items = list(range(instance.num_items))
     stream(instance.num_items * 7 + size, tag).shuffle(items)
     return frozenset(items[: min(size, instance.num_items)])
+
+
+class MilpSolution(NamedTuple):
+    """Optimum of an LP text: its value and the item (1-based) at each step."""
+
+    value: int
+    pick_at_step: dict[int, int]
+
+
+def milp_solve(lp_text: str) -> MilpSolution | None:
+    """Solve exported LP text with scipy's HiGHS MILP; None if infeasible.
+
+    A test oracle sharing no code with the package's solvers: it reads
+    only the parsed rows, builds the constraint matrix itself and lets
+    HiGHS search, with a zero optimality gap so the optimum is exact.
+    scipy is imported here, so a missing scipy fails the calling test.
+    """
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    model = parse_lp(lp_text)
+    m = model.num_items
+
+    def var(item: int, step: int) -> int:
+        return (item - 1) * m + step - 1
+
+    cost = np.zeros(m * m)
+    for item in range(1, m + 1):
+        for step in model.manipulator_steps:
+            cost[var(item, step)] = -model.utilities[item - 1]
+    rows = []
+    for item in range(1, m + 1):
+        rows.append([var(item, step) for step in range(1, m + 1)])
+    for step in range(1, m + 1):
+        rows.append([var(item, step) for item in range(1, m + 1)])
+    for row in model.greedy_rows:
+        rows.append(
+            [var(row.item, row.step)]
+            + [var(j, row.step) for j in row.better]
+            + [var(row.item, earlier) for earlier in range(1, row.step)]
+        )
+    matrix = np.zeros((len(rows), m * m))
+    for index, columns in enumerate(rows):
+        matrix[index, columns] = 1
+    upper = np.full(len(rows), np.inf)
+    upper[: 2 * m] = 1
+    result = milp(
+        cost,
+        constraints=LinearConstraint(matrix, np.ones(len(rows)), upper),
+        integrality=np.ones(m * m),
+        bounds=Bounds(0, 1),
+        options={"mip_rel_gap": 0},
+    )
+    if result.status == 2:
+        return None
+    assert result.success, result.message
+    x = np.rint(result.x).astype(int)
+    pick_at_step = {step: item for item in range(1, m + 1) for step in range(1, m + 1) if x[var(item, step)]}
+    value = sum(model.utilities[pick_at_step[step] - 1] for step in model.manipulator_steps)
+    return MilpSolution(value, pick_at_step)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -6,6 +7,7 @@ from conftest import seeded_instances, seeded_targets
 from seqalloc import (
     Instance,
     ResourceLimitError,
+    gen_correlated,
     gen_random,
     is_achievable,
     is_achievable_oracle,
@@ -145,3 +147,24 @@ def test_solvers_agree_on_random_instances():
         dp = solve_dp(instance).optimal_utility
         assert solve_subset_enum(instance).optimal_utility == dp
         assert solve_bruteforce_rankings(instance).optimal_utility == dp
+
+
+def test_subset_enum_matches_dp_beyond_brute_force_reach():
+    """DP against bundle enumeration at m 20-30, where m! is far out of reach.
+
+    mu is the largest turn count keeping C(m, mu) at most 20,000, and the
+    returned ranking must replay to the returned bundle.
+    """
+    checked = 0
+    for index, m in enumerate(range(20, 31, 2)):
+        n = 2 + index % 3
+        mu = max(k for k in range(1, m // 2 + 1) if math.comb(m, k) <= 20_000)
+        for instance in (
+            gen_random(70 + m, n, m, mu_manipulator=mu)[0],
+            gen_correlated(70 + m, n, m, 3, mu_manipulator=mu)[0],
+        ):
+            result = solve_subset_enum(instance)
+            assert result.optimal_utility == solve_dp(instance).optimal_utility, (m, n, mu)
+            assert simulate(instance, result.ranking).bundles[0] == result.bundle
+            checked += 1
+    assert checked == 12

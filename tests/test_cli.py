@@ -7,7 +7,6 @@ import pytest
 from seqalloc import (
     SWEEP_COLUMNS,
     BoundViolationError,
-    InfeasibleModelError,
     Instance,
     cli,
     gen_random,
@@ -43,7 +42,7 @@ def test_solve_dp_stdout(example_json):
     assert "optimal utility 7" in proc.stderr
 
 
-@pytest.mark.parametrize("algo", ["subset", "brute", "ilp-naive"])
+@pytest.mark.parametrize("algo", ["subset", "brute"])
 def test_solve_other_algorithms(example_json, algo):
     proc = run_cli("solve", "--algo", algo, stdin_text=example_json)
     assert proc.returncode == 0
@@ -246,14 +245,13 @@ def _raise(error):
     "command, target, error",
     [
         ("check", "seqalloc.analysis.check_state_bounds", BoundViolationError("state cap m_pow exceeded")),
-        ("solve --algo ilp-naive", "seqalloc.cli.solve_naive", InfeasibleModelError("no pick satisfies the greedy rows")),
         (
             "solve",
             "seqalloc.cli.solve_dp",
             RuntimeError("internal error: recovered ranking does not replay to the computed optimum"),
         ),
     ],
-    ids=["bound-violation", "infeasible-model", "dp-replay"],
+    ids=["bound-violation", "dp-replay"],
 )
 def test_internal_errors_exit_6(monkeypatch, capsys, tmp_path, example_json, command, target, error):
     path = tmp_path / "instance.json"

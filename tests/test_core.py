@@ -11,7 +11,6 @@ from seqalloc import (
     profile_metrics,
     simulate,
     truthful_utility,
-    validate,
 )
 
 
@@ -93,10 +92,6 @@ def test_validation_error_codes(running_example, patch, code):
     with pytest.raises(InvalidInstanceError) as err:
         Instance(**fields)
     assert err.value.code == code
-
-
-def test_validate_returns_instance(running_example):
-    assert validate(running_example) is running_example
 
 
 def test_zero_utility_is_allowed(running_example):

@@ -1,13 +1,16 @@
 """Frozen DP outputs: the regression guard for the state-graph solver.
 
-Every value, ranking, bundle, state count, distinct-set count, arc count
-and the set of reachable taken sets is pinned for a fixed list of
-instances: seeded random instances with one to five agents and up to 14
-items, a 60-item random instance with five agents (9,636 states), two
-correlated instances, the tight family and both clique gadgets.  The
-expected file was recorded from the solver before its state graph was
-rewritten, so any change to the graph's order, tie-break or contents
-shows up here.
+For a fixed list of instances this pins the optimal value, the ranking
+and the bundle, the three counts (states, distinct taken sets, arcs)
+and a SHA-256 digest of the sorted reachable taken sets.  The instances
+are seeded random ones with one to five agents and up to 14 items, a
+60-item random instance with five agents (9,636 states), two correlated
+instances, the tight family and both clique gadgets.  The expected file
+was recorded from the solver before its state graph was rewritten, so a
+change of value, tie-break, state count or reachable sets shows up
+here.  State ids and the processing order are not pinned: renumbering
+the states leaves this file passing.  The order is guarded by
+``test_dp::test_order_is_topological*``.
 
 To re-record after an intended change of output::
 

@@ -17,7 +17,6 @@ from seqalloc import (
     simulate,
     solve_subset_enum,
     truthful_utility,
-    validate,
 )
 
 TRIANGLE_PLUS = GraphInput(4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4)))
@@ -145,7 +144,6 @@ def test_correlated_rejects_bad_target():
 
 def test_tight_family_values():
     instance, metadata = gen_tight_family(1000)
-    validate(instance)
     assert metadata == {"type": "tight", "scale": 1000}
     assert truthful_utility(instance) == 1000
     assert solve_subset_enum(instance).optimal_utility == 1997
@@ -158,7 +156,6 @@ def test_tight_family_needs_room_for_strict_utilities():
 
 def test_clique_gadget_shape():
     instance, metadata = gen_clique_reduction(TRIANGLE_PLUS, 3)
-    validate(instance)
     assert instance.num_items == 18
     assert instance.num_agents == 10
     assert metadata["manipulator_picks"] == 7
@@ -206,7 +203,6 @@ def test_clique_gadget_is_deterministic():
 
 def test_mcc_gadget_shape():
     instance, metadata = gen_mcc_reduction(MCC_GRAPH, 2)
-    validate(instance)
     assert instance.num_agents == 8
     assert instance.num_items == 1240
     assert metadata["prime"] == 5

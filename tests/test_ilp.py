@@ -1,20 +1,18 @@
 import pytest
 
-from conftest import seeded_instances
+from conftest import milp_solve, seeded_instances
 from seqalloc import (
     GreedyRow,
-    InfeasibleModelError,
     Instance,
     IpModel,
-    ResourceLimitError,
     assignment_is_feasible,
     build_model,
     export_lp,
+    gen_correlated,
     gen_random,
     parse_lp,
     simulate,
     solve_dp,
-    solve_naive,
 )
 
 
@@ -89,28 +87,43 @@ def test_parse_rejects_foreign_text(text):
         parse_lp(text)
 
 
+def _manipulator_picks(instance, solution) -> list[int]:
+    """0-based items the MILP optimum gives the manipulator, in step order."""
+    steps = [t for t, agent in enumerate(instance.sequence, start=1) if agent == 0]
+    return [solution.pick_at_step[t] - 1 for t in steps]
+
+
 def test_naive_solver_regression(running_example, running_example_steep):
-    assert solve_naive(build_model(running_example)).optimal_utility == 7
-    assert solve_naive(build_model(running_example)).bundle == {1, 2}
-    assert solve_naive(build_model(running_example_steep)).optimal_utility == 1997
-
-
-def test_naive_solver_limit():
-    instance, _ = gen_random(4, 2, 9)
-    with pytest.raises(ResourceLimitError):
-        solve_naive(build_model(instance))
+    """The MILP optimum of the exported running example: 7, with {i2, i3}."""
+    solution = milp_solve(export_lp(build_model(running_example)))
+    assert solution.value == 7
+    assert set(_manipulator_picks(running_example, solution)) == {1, 2}
+    assert milp_solve(export_lp(build_model(running_example_steep))).value == 1997
 
 
 def test_naive_matches_dp_on_random_instances():
     for instance in seeded_instances(30, items=(4, 5, 6)):
-        assert solve_naive(build_model(instance)).optimal_utility == solve_dp(instance).optimal_utility
+        assert milp_solve(export_lp(build_model(instance))).value == solve_dp(instance).optimal_utility
+
+
+def test_milp_matches_dp_beyond_small_sizes():
+    """DP against the MILP oracle at m 10-24, n 2-4, random and correlated."""
+    checked = 0
+    for index, m in enumerate(range(10, 25, 2)):
+        n = 2 + index % 3
+        for instance in (gen_random(40 + m, n, m)[0], gen_correlated(40 + m, n, m, 3)[0]):
+            solution = milp_solve(export_lp(build_model(instance)))
+            assert solution.value == solve_dp(instance).optimal_utility, (m, n)
+            checked += 1
+    assert checked == 16
 
 
 def test_naive_result_replays(running_example):
+    """Reporting the MILP's manipulator picks first replays to exactly those picks."""
     for instance in seeded_instances(15):
-        result = solve_naive(build_model(instance))
-        replay = simulate(instance, result.ranking)
-        assert replay.bundles[0] == result.bundle
+        picks = _manipulator_picks(instance, milp_solve(export_lp(build_model(instance))))
+        ranking = picks + [item for item in instance.profile[0] if item not in picks]
+        assert simulate(instance, ranking).bundles[0] == set(picks)
 
 
 def test_truthful_run_is_feasible():
@@ -130,11 +143,11 @@ def test_non_protocol_assignment_is_infeasible(running_example):
 
 
 def test_infeasible_model_is_reported():
+    """Both items ranked first by the step-1 picker: no assignment covers both rows."""
     model = IpModel(
         num_items=2,
         utilities=(2, 1),
         manipulator_steps=(2,),
-        greedy_rows=(GreedyRow(1, 1, (2,)), GreedyRow(2, 1, (1,))),
+        greedy_rows=(GreedyRow(1, 1, ()), GreedyRow(2, 1, ())),
     )
-    with pytest.raises(InfeasibleModelError):
-        solve_naive(model)
+    assert milp_solve(export_lp(model)) is None
