@@ -8,13 +8,14 @@ solvers), decides whether specific item sets are securable, exports the
 problem as an integer program in LP text for external MILP solvers,
 generates structured instance families including two clique-hardness
 gadgets, and verifies the known bounds on manipulation gain and
-state-graph size.
+state-graph size in one check.  It needs nothing beyond the standard
+library; the test suite's MILP oracle, which needs scipy, lives in the
+tests only.
 """
 
 from .achievability import (
     AchievabilityCertificate,
     is_achievable,
-    is_achievable_oracle,
     solve_bruteforce_rankings,
     solve_subset_enum,
 )
@@ -24,7 +25,6 @@ from .analysis import (
     BoundViolationError,
     SweepConfig,
     bench_sweep,
-    check_ratio_bound,
     check_state_bounds,
     run_sweep,
     sweep_to_csv,
@@ -38,7 +38,6 @@ from .core import (
     ManipulationResult,
     ProfileMetrics,
     ResourceLimitError,
-    best_available,
     bundle_utility,
     profile_metrics,
     simulate,
@@ -68,7 +67,6 @@ from .generators import (
 from .ilp import (
     GreedyRow,
     IpModel,
-    assignment_is_feasible,
     build_model,
     export_lp,
     parse_lp,

@@ -5,15 +5,14 @@ manipulator holding at least those items after the protocol runs.  Sets
 larger than her number of picking turns are trivially out of reach.  For
 the rest, a greedy rule suffices: at each of her turns she secures the
 still-unsecured target that the other agents would otherwise take
-soonest.  The enumeration oracle next to it tries every order in which
-the targets could be secured and is the reference the greedy rule is
-held to by the test suite.
+soonest.  The test suite holds the rule to an external MILP solve of the
+integer program with the target required in the manipulator's bundle,
+which shares no code with this module.
 
 On top of the check sit two exhaustive solvers for the best-response
 problem: one enumerating candidate bundles (exponential only in the
-number of the manipulator's turns) and one taking the best
-:func:`~seqalloc.core.simulate` run over all reported rankings
-(factorial, cross-check only).  Every replay here picks through
+number of the manipulator's turns) and one trying every reported
+ranking (factorial, cross-check only).  Every replay here picks through
 :func:`~seqalloc.core.greedy_pick`, the same kernel as ``simulate``.
 """
 
@@ -35,7 +34,6 @@ from .core import (
     simulate,
 )
 
-DEFAULT_ORACLE_ORDERS = 40_320  # 8!
 DEFAULT_SUBSET_BUDGET = 5_000_000
 DEFAULT_RANKING_ITEM_LIMIT = 8
 
@@ -72,8 +70,9 @@ def is_achievable(instance: Instance, target: Iterable[int]) -> AchievabilityCer
     measured in a hypothetical continuation where the manipulator sits
     out all her turns; she then secures the target that would disappear
     first (ties: the one she truthfully prefers).  Runs in
-    O(mu * (m + n)) per call.  Agreement with the enumeration oracle is
-    the correctness contract, enforced by the test suite.
+    O(mu * (m + n)) per call.  The test suite holds every verdict to a
+    MILP solve of the integer program that requires the target in the
+    manipulator's bundle.
     """
     target = _checked_target(instance, target)
     if len(target) > instance.manipulator_turns():
@@ -134,54 +133,6 @@ def _most_endangered(
             if missing == 0:
                 break
     return min(unsecured, key=lambda item: (removal.get(item, _NEVER), truthful_pos[item]))
-
-
-def is_achievable_oracle(
-    instance: Instance,
-    target: Iterable[int],
-    max_orders: int = DEFAULT_ORACLE_ORDERS,
-) -> AchievabilityCertificate:
-    """Exhaustive reference check: try every securing order for the target.
-
-    Each candidate order is replayed literally; the manipulator takes the
-    next listed target at each of her turns (failing the order if it is
-    already gone) and reverts to truthful picking once the list is done.
-    Orders are tried in lexicographic order over the sorted target, so the
-    reported certificate is deterministic.
-    """
-    target = _checked_target(instance, target)
-    if math.factorial(len(target)) > max_orders:
-        raise ResourceLimitError(
-            f"oracle would enumerate {len(target)}! > {max_orders} orders; raise max_orders to force it"
-        )
-    if len(target) > instance.manipulator_turns():
-        return AchievabilityCertificate(False)
-
-    m = instance.num_items
-    profile = instance.profile
-    for order in itertools.permutations(sorted(target)):
-        taken = [False] * m
-        cursors = [0] * instance.num_agents
-        my_picks: list[int] = []
-        next_target = 0
-        for agent in instance.sequence:
-            if agent != MANIPULATOR:
-                greedy_pick(profile[agent], cursors, agent, taken)
-            elif next_target < len(order):
-                item = order[next_target]
-                if taken[item]:
-                    break
-                next_target += 1
-                taken[item] = True
-                my_picks.append(item)
-            else:
-                my_picks.append(greedy_pick(profile[MANIPULATOR], cursors, MANIPULATOR, taken))
-        else:
-            if next_target == len(order):
-                mine = set(my_picks)
-                ranking = tuple(my_picks + [i for i in profile[MANIPULATOR] if i not in mine])
-                return AchievabilityCertificate(True, ranking, order)
-    return AchievabilityCertificate(False)
 
 
 def solve_subset_enum(instance: Instance, budget: int = DEFAULT_SUBSET_BUDGET) -> ManipulationResult:
@@ -247,8 +198,10 @@ def solve_bruteforce_rankings(
     """Optimal manipulation by trying all m! reports.  Cross-check only.
 
     Rankings are tried in lexicographic order and ties keep the first
-    optimum, so the result is deterministic.  Refuses instances beyond
-    ``limit`` items.
+    optimum, so the result is deterministic.  Permutations are valid by
+    construction, so each is scored by a bare ``greedy_pick`` replay and
+    only the winner goes through :func:`~seqalloc.core.simulate`.
+    Refuses instances beyond ``limit`` items.
     """
     if instance.num_items > limit:
         raise ResourceLimitError(
@@ -256,9 +209,20 @@ def solve_bruteforce_rankings(
         )
     start = time.perf_counter()
     m = instance.num_items
+    n = instance.num_agents
+    utilities = instance.utilities
+    rows = list(instance.profile)
 
     def value(ranking: tuple[int, ...]) -> int:
-        return bundle_utility(instance, simulate(instance, ranking).bundles[MANIPULATOR])
+        rows[MANIPULATOR] = ranking
+        taken = [False] * m
+        cursors = [0] * n
+        total = 0
+        for agent in instance.sequence:
+            item = greedy_pick(rows[agent], cursors, agent, taken)
+            if agent == MANIPULATOR:
+                total += utilities[item]
+        return total
 
     best_ranking = max(itertools.permutations(range(m)), key=value)
     bundle = simulate(instance, best_ranking).bundles[MANIPULATOR]

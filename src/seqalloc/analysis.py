@@ -22,12 +22,11 @@ from .core import (
     MANIPULATOR,
     Instance,
     InvalidInstanceError,
-    ProfileMetrics,
     ResourceLimitError,
     profile_metrics,
     truthful_utility,
 )
-from .dp import StateGraph, build_state_graph, solve_dp, state_set_bounds
+from .dp import StateGraph, solve_dp, state_set_bounds
 from .generators import gen_correlated, gen_random
 
 
@@ -40,8 +39,9 @@ class BoundReport:
     """Joint report of the ratio check and the state-count check.
 
     ``ratio`` is exact (optimal over truthful) and None when the
-    truthful utility is zero, in which case the ratio bound is vacuous
-    and ``bound_ok`` is True by convention.  ``bounds``/``slack`` map
+    truthful utility is zero, in which case the ratio bound is vacuous.
+    ``bound_ok`` is True on every report, since a violated bound raises
+    instead of returning one.  ``bounds``/``slack`` map
     bound names (m_pow, mu, rg_n, rg) to values, None where a bound
     needs more agents than the instance has.
     """
@@ -70,13 +70,19 @@ class BoundReport:
         }
 
 
-def _bound_report(instance: Instance, **solver_kwargs) -> BoundReport:
+def check_state_bounds(instance: Instance, **solver_kwargs) -> BoundReport:
+    """Solve and verify both proven facts; raise BoundViolationError on either.
+
+    Optimal manipulation must earn less than twice the truthful utility
+    (vacuous at truthful 0), and the distinct taken sets must stay under
+    every applicable cap.
+    """
     result = solve_dp(instance, **solver_kwargs)
     u_truthful = truthful_utility(instance)
     u_optimal = result.optimal_utility
     vacuous = u_truthful == 0
-    ratio = None if vacuous else Fraction(u_optimal, u_truthful)
-    bound_ok = True if vacuous else u_optimal < 2 * u_truthful
+    if not vacuous and u_optimal >= 2 * u_truthful:
+        raise BoundViolationError(f"optimal utility {u_optimal} reaches twice the truthful {u_truthful}")
     bounds = {
         "m_pow": result.stats["bound_m_pow"],
         "mu": result.stats["bound_mu"],
@@ -84,39 +90,20 @@ def _bound_report(instance: Instance, **solver_kwargs) -> BoundReport:
         "rg": result.stats["bound_rg"],
     }
     distinct = result.stats["distinct_sets"]
-    slack = {name: None if cap is None else cap - distinct for name, cap in bounds.items()}
+    for name, cap in bounds.items():
+        if cap is not None and distinct > cap:
+            raise BoundViolationError(f"{distinct} distinct taken sets exceed bound {name} = {cap}")
     return BoundReport(
         u_truthful=u_truthful,
         u_optimal=u_optimal,
-        ratio=ratio,
-        bound_ok=bound_ok,
+        ratio=None if vacuous else Fraction(u_optimal, u_truthful),
+        bound_ok=True,
         vacuous=vacuous,
         states=result.stats["states"],
         distinct_sets=distinct,
         bounds=bounds,
-        slack=slack,
+        slack={name: None if cap is None else cap - distinct for name, cap in bounds.items()},
     )
-
-
-def check_ratio_bound(instance: Instance, **solver_kwargs) -> BoundReport:
-    """Solve and verify optimal < 2 * truthful (vacuous at truthful 0)."""
-    report = _bound_report(instance, **solver_kwargs)
-    if not report.bound_ok:
-        raise BoundViolationError(
-            f"optimal utility {report.u_optimal} reaches twice the truthful {report.u_truthful}"
-        )
-    return report
-
-
-def check_state_bounds(instance: Instance, **solver_kwargs) -> BoundReport:
-    """Solve and verify distinct taken sets against every applicable cap."""
-    report = _bound_report(instance, **solver_kwargs)
-    for name, cap in report.bounds.items():
-        if cap is not None and report.distinct_sets > cap:
-            raise BoundViolationError(
-                f"{report.distinct_sets} distinct taken sets exceed bound {name} = {cap}"
-            )
-    return report
 
 
 def verify_state_invariants(instance: Instance, graph: StateGraph) -> int:

@@ -106,7 +106,8 @@ class Instance:
     def from_json(cls, text: str) -> "Instance":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        # Nesting too deep for the parser raises RecursionError, not a decode error.
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InvalidInstanceError("malformed", f"instance is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise InvalidInstanceError("malformed", "instance JSON must be an object")
@@ -267,17 +268,6 @@ def bundle_utility(instance: Instance, bundle: Iterable[int]) -> int:
 def truthful_utility(instance: Instance) -> int:
     """Utility the manipulator collects when everyone reports truthfully."""
     return bundle_utility(instance, simulate(instance).bundles[MANIPULATOR])
-
-
-def best_available(instance: Instance, agent: int, taken: Iterable[int]) -> int:
-    """First item in ``agent``'s truthful ranking outside ``taken``."""
-    if not 0 <= agent < instance.num_agents:
-        raise ValueError(f"agent index {agent} out of range")
-    gone = set(taken)
-    for item in instance.profile[agent]:
-        if item not in gone:
-            return item
-    raise ValueError("no item available: every item is already taken")
 
 
 @dataclass(frozen=True)

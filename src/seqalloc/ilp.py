@@ -10,9 +10,11 @@ sums the manipulator's utilities over her steps only.
 
 This module writes and parses the model as LP-format text so it can be
 diffed and fed to off-the-shelf MILP solvers; no solver is linked in.
-The test suite solves the exported text with an external MILP solver
-and holds its optimum to the dynamic program's, which checks the
-encoding with code that shares nothing with the package's solvers.
+The test suite solves the exported text with an external MILP solver,
+which shares nothing with the package's solvers.  It holds the optimum
+to the dynamic program's, the feasibility of a target-securing model to
+the greedy achievability check, and the feasibility of a pinned protocol
+run to the encoding itself.
 """
 
 from __future__ import annotations
@@ -209,21 +211,3 @@ def parse_lp(text: str) -> IpModel:
         greedy_rows=tuple(greedy_rows),
     )
 
-
-def assignment_is_feasible(model: IpModel, pick_at_step: dict[int, int]) -> bool:
-    """Check one complete assignment {step: item} against every row."""
-    m = model.num_items
-    if sorted(pick_at_step) != list(range(1, m + 1)):
-        return False
-    if sorted(pick_at_step.values()) != list(range(1, m + 1)):
-        return False
-    step_of = {item: step for step, item in pick_at_step.items()}
-    for row in model.greedy_rows:
-        if pick_at_step[row.step] == row.item:
-            continue
-        if pick_at_step[row.step] in row.better:
-            continue
-        if step_of[row.item] < row.step:
-            continue
-        return False
-    return True

@@ -2,7 +2,7 @@ from typing import NamedTuple
 
 import pytest
 
-from seqalloc import Instance, gen_correlated, gen_random, parse_lp
+from seqalloc import Instance, gen_random, parse_lp
 from seqalloc.rng import stream
 
 
@@ -66,12 +66,16 @@ class MilpSolution(NamedTuple):
     pick_at_step: dict[int, int]
 
 
-def milp_solve(lp_text: str) -> MilpSolution | None:
+def milp_solve(lp_text: str, secure=(), pinned=None) -> MilpSolution | None:
     """Solve exported LP text with scipy's HiGHS MILP; None if infeasible.
 
     A test oracle sharing no code with the package's solvers: it reads
     only the parsed rows, builds the constraint matrix itself and lets
     HiGHS search, with a zero optimality gap so the optimum is exact.
+    ``secure`` lists 1-based items the manipulator must hold, one row
+    "sum over her steps of x_{i,t} >= 1" each, which turns the model into
+    a fixed-target achievability test.  ``pinned`` maps steps to items
+    (both 1-based) and fixes those variables to 1 through their bounds.
     scipy is imported here, so a missing scipy fails the calling test.
     """
     import numpy as np
@@ -98,16 +102,21 @@ def milp_solve(lp_text: str) -> MilpSolution | None:
             + [var(j, row.step) for j in row.better]
             + [var(row.item, earlier) for earlier in range(1, row.step)]
         )
+    for item in secure:
+        rows.append([var(item, step) for step in model.manipulator_steps])
     matrix = np.zeros((len(rows), m * m))
     for index, columns in enumerate(rows):
         matrix[index, columns] = 1
     upper = np.full(len(rows), np.inf)
     upper[: 2 * m] = 1
+    lower_bounds = np.zeros(m * m)
+    for step, item in (pinned or {}).items():
+        lower_bounds[var(item, step)] = 1
     result = milp(
         cost,
         constraints=LinearConstraint(matrix, np.ones(len(rows)), upper),
         integrality=np.ones(m * m),
-        bounds=Bounds(0, 1),
+        bounds=Bounds(lower_bounds, 1),
         options={"mip_rel_gap": 0},
     )
     if result.status == 2:

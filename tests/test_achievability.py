@@ -3,19 +3,26 @@ import math
 
 import pytest
 
-from conftest import seeded_instances, seeded_targets
+from conftest import milp_solve, seeded_instances, seeded_targets
 from seqalloc import (
     Instance,
     ResourceLimitError,
+    build_model,
+    export_lp,
     gen_correlated,
     gen_random,
     is_achievable,
-    is_achievable_oracle,
     simulate,
     solve_bruteforce_rankings,
     solve_dp,
     solve_subset_enum,
 )
+
+
+def milp_secures(instance, target) -> bool:
+    """MILP verdict: can the manipulator hold every (0-based) target item?"""
+    secure = [item + 1 for item in target]
+    return milp_solve(export_lp(build_model(instance)), secure=secure) is not None
 
 
 def test_reachable_pair(running_example):
@@ -30,7 +37,7 @@ def test_reachable_pair(running_example):
 def test_unreachable_pair(running_example):
     """{i1, i2}: whichever she takes first, the other is gone by turn 4."""
     assert not is_achievable(running_example, {0, 1}).achievable
-    assert not is_achievable_oracle(running_example, {0, 1}).achievable
+    assert not milp_secures(running_example, {0, 1})
 
 
 def test_empty_target_is_trivially_achievable(running_example):
@@ -38,13 +45,13 @@ def test_empty_target_is_trivially_achievable(running_example):
     assert certificate.achievable
     assert certificate.pick_order == ()
     assert certificate.ranking == (0, 1, 2, 3)
-    assert is_achievable_oracle(running_example, set()).achievable
+    assert milp_secures(running_example, set())
 
 
 def test_oversized_target_fails_without_exception(running_example):
     certificate = is_achievable(running_example, {0, 1, 2})
     assert certificate == type(certificate)(False)
-    assert not is_achievable_oracle(running_example, {0, 1, 2}).achievable
+    assert not milp_secures(running_example, {0, 1, 2})
 
 
 def test_target_validation(running_example):
@@ -52,21 +59,36 @@ def test_target_validation(running_example):
         is_achievable(running_example, {9})
 
 
-def test_oracle_order_budget():
-    instance, _ = gen_random(3, 2, 9, mu_manipulator=4)
-    with pytest.raises(ResourceLimitError):
-        is_achievable_oracle(instance, set(range(9)))
-    # A raised budget lets the oversized target through to the size check.
-    assert not is_achievable_oracle(instance, set(range(9)), max_orders=400_000).achievable
-
-
 def test_greedy_matches_oracle_on_random_targets():
+    """Greedy verdicts against the fixed-target MILP, small and at m 12-24.
+
+    The larger instances give the manipulator up to 12 turns, and their
+    targets (random sets, the DP's optimal bundle and the truthful
+    bundle, each up to mu items) are far past an enumeration of orders.
+    """
     for instance in seeded_instances(60):
         for size in (1, 2, 3):
             target = seeded_targets(instance, size, f"achv-{size}")
-            greedy = is_achievable(instance, target)
-            oracle = is_achievable_oracle(instance, target)
-            assert greedy.achievable == oracle.achievable, (instance, target)
+            assert is_achievable(instance, target).achievable == milp_secures(instance, target), (instance, target)
+
+    verdicts = []
+    for index, m in enumerate(range(12, 25, 4)):
+        n = 2 + index % 3
+        mu = m // 2
+        for instance in (
+            gen_random(90 + m, n, m, mu_manipulator=mu)[0],
+            gen_correlated(90 + m, n, m, 3, mu_manipulator=mu)[0],
+        ):
+            targets = [seeded_targets(instance, size, f"achv-large-{size}") for size in (2, mu // 2, mu)]
+            targets.append(solve_dp(instance).bundle)
+            targets.append(simulate(instance).bundles[0])
+            for target in targets:
+                greedy = is_achievable(instance, target).achievable
+                assert greedy == milp_secures(instance, target), (m, n, sorted(target))
+                verdicts.append((m, len(target), greedy))
+    assert len(verdicts) == 40
+    assert any(m >= 20 and size > 8 and greedy for m, size, greedy in verdicts)
+    assert any(m >= 20 and size > 8 and not greedy for m, size, greedy in verdicts)
 
 
 def test_achievability_is_monotone_under_subsets():

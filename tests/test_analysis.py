@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,6 @@ from seqalloc import (
     SweepConfig,
     bench_sweep,
     build_state_graph,
-    check_ratio_bound,
     check_state_bounds,
     gen_correlated,
     gen_tight_family,
@@ -33,7 +33,7 @@ def two_item_instance(sequence):
 
 
 def test_ratio_report_frozen(running_example):
-    report = check_ratio_bound(running_example)
+    report = check_state_bounds(running_example)
     assert report.u_truthful == 6
     assert report.u_optimal == 7
     assert report.ratio == Fraction(7, 6)
@@ -44,13 +44,13 @@ def test_ratio_report_frozen(running_example):
 
 def test_ratio_near_the_ceiling():
     instance, _ = gen_tight_family(1000)
-    report = check_ratio_bound(instance)
+    report = check_state_bounds(instance)
     assert report.ratio == Fraction(1997, 1000)
     assert report.bound_ok
 
 
 def test_ratio_vacuous_when_truthful_is_zero():
-    report = check_ratio_bound(two_item_instance([1, 0]))
+    report = check_state_bounds(two_item_instance([1, 0]))
     assert report.u_truthful == 0
     assert report.u_optimal == 0
     assert report.ratio is None
@@ -58,9 +58,27 @@ def test_ratio_vacuous_when_truthful_is_zero():
 
 
 def test_ratio_can_be_exactly_one():
-    report = check_ratio_bound(two_item_instance([0, 1]))
+    report = check_state_bounds(two_item_instance([0, 1]))
     assert report.ratio == Fraction(1, 1)
     assert not report.vacuous
+
+
+@pytest.mark.parametrize("fault", ["ratio", "cap"])
+def test_check_state_bounds_raises_on_either_fact(monkeypatch, running_example, fault):
+    """A solver result breaking either proven fact trips the one bound check."""
+    honest = analysis.solve_dp
+
+    def broken(instance, **kwargs):
+        result = honest(instance, **kwargs)
+        if fault == "ratio":
+            return dataclasses.replace(result, optimal_utility=2 * 6)
+        stats = dict(result.stats, distinct_sets=result.stats["bound_m_pow"] + 1)
+        return dataclasses.replace(result, stats=stats)
+
+    monkeypatch.setattr(analysis, "solve_dp", broken)
+    message = "reaches twice the truthful 6" if fault == "ratio" else "17 distinct taken sets exceed bound m_pow = 16"
+    with pytest.raises(BoundViolationError, match=message):
+        check_state_bounds(running_example)
 
 
 def test_state_bound_slack_frozen(running_example):
@@ -70,7 +88,7 @@ def test_state_bound_slack_frozen(running_example):
 
 
 def test_report_json_shape(running_example):
-    doc = check_ratio_bound(running_example).to_json_dict()
+    doc = check_state_bounds(running_example).to_json_dict()
     assert doc["ratio"] == "7/6"
     assert doc["vacuous"] is False
     assert set(doc["bounds"]) == {"m_pow", "mu", "rg_n", "rg"}

@@ -194,12 +194,21 @@ def test_bench_runs_configured_sweep(tmp_path):
     assert len(lines) == 5
 
 
+# Nested past the JSON parser's recursion limit.
+DEEP_JSON = "[" * 100_000
+
+
 def test_bench_rejects_bad_config(tmp_path):
     config = tmp_path / "sweep.json"
     config.write_text("{not json")
     assert run_cli("bench", "--config", str(config)).returncode == 3
     config.write_text(json.dumps({"agents": [2], "items": [4], "color": "red"}))
     assert run_cli("bench", "--config", str(config)).returncode == 3
+    proc = run_cli("bench", "--config", "-", stdin_text=DEEP_JSON)
+    assert proc.returncode == 3
+    assert proc.stderr.count("error[") == 1
+    assert "error[malformed]" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("document", [{"agents": 3, "items": [4]}, [1]], ids=["scalar-field", "array"])
@@ -214,9 +223,12 @@ def test_bench_rejects_malformed_config_without_traceback(tmp_path, document):
 
 
 def test_exit_code_for_malformed_instance():
-    proc = run_cli("solve", stdin_text="{broken")
-    assert proc.returncode == 3
-    assert "error[malformed]" in proc.stderr
+    for text in ("{broken", DEEP_JSON):
+        proc = run_cli("solve", stdin_text=text)
+        assert proc.returncode == 3
+        assert proc.stderr.count("error[") == 1
+        assert "error[malformed]" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("field", ["items", "agents", "sequence", "profile", "utilities", "profile row"])

@@ -3,10 +3,8 @@ import json
 import pytest
 
 from seqalloc import (
-    Allocation,
     Instance,
     InvalidInstanceError,
-    best_available,
     bundle_utility,
     profile_metrics,
     simulate,
@@ -98,20 +96,6 @@ def test_zero_utility_is_allowed(running_example):
     fields = _example_fields(running_example)
     fields["utilities"] = [5, 4, 3, 0]
     assert Instance(**fields).utilities[3] == 0
-
-
-def test_best_available(running_example):
-    assert best_available(running_example, 1, set()) == 2
-    assert best_available(running_example, 1, {2}) == 3
-    assert best_available(running_example, 2, {0, 2}) == 1
-    assert best_available(running_example, 0, {0}) == 1
-
-
-def test_best_available_exhausted(running_example):
-    with pytest.raises(ValueError, match="no item available"):
-        best_available(running_example, 1, {0, 1, 2, 3})
-    with pytest.raises(ValueError, match="out of range"):
-        best_available(running_example, 9, set())
 
 
 def test_profile_metrics(running_example):

@@ -5,7 +5,6 @@ from seqalloc import (
     GreedyRow,
     Instance,
     IpModel,
-    assignment_is_feasible,
     build_model,
     export_lp,
     gen_correlated,
@@ -129,17 +128,19 @@ def test_naive_result_replays(running_example):
 def test_truthful_run_is_feasible():
     """The indicator matrix of any protocol run satisfies every row."""
     for instance in seeded_instances(20):
-        model = build_model(instance)
         allocation = simulate(instance)
         assignment = {step: item + 1 for step, _, item in allocation.pick_log}
-        assert assignment_is_feasible(model, assignment)
+        solution = milp_solve(export_lp(build_model(instance)), pinned=assignment)
+        assert solution is not None
+        assert solution.pick_at_step == assignment
 
 
 def test_non_protocol_assignment_is_infeasible(running_example):
-    model = build_model(running_example)
+    text = export_lp(build_model(running_example))
     # Giving a2 item i1 at step 2 while i3 is still on the table breaks greedy.
-    assignment = {1: 4, 2: 1, 3: 2, 4: 3}
-    assert not assignment_is_feasible(model, assignment)
+    assert milp_solve(text, pinned={1: 4, 2: 1, 3: 2, 4: 3}) is None
+    # Pinning only that pick is enough: no completion repairs it.
+    assert milp_solve(text, pinned={2: 1}) is None
 
 
 def test_infeasible_model_is_reported():
