@@ -47,7 +47,6 @@ from .dp import (
     StateGraph,
     backward_induction,
     build_state_graph,
-    forced_sets,
     solve_dp,
     state_set_bounds,
 )

@@ -44,15 +44,13 @@ _NEVER = 1 << 60
 class AchievabilityCertificate:
     """Outcome of an achievability check.
 
-    For achievable targets, ``ranking`` is a report that secures them and
-    ``pick_order`` lists the targets in the order they get picked up;
-    replaying the ranking yields a bundle containing every target.  For
-    unachievable targets both fields are None.
+    For achievable targets, ``ranking`` is a report that secures them:
+    replaying it yields a bundle containing every target.  For
+    unachievable targets it is None.
     """
 
     achievable: bool
     ranking: tuple[int, ...] | None = None
-    pick_order: tuple[int, ...] | None = None
 
 
 def _checked_target(instance: Instance, target: Iterable[int]) -> frozenset[int]:
@@ -78,7 +76,7 @@ def is_achievable(instance: Instance, target: Iterable[int]) -> AchievabilityCer
     if len(target) > instance.manipulator_turns():
         return AchievabilityCertificate(False)
     if not target:
-        return AchievabilityCertificate(True, instance.profile[MANIPULATOR], ())
+        return AchievabilityCertificate(True, instance.profile[MANIPULATOR])
 
     m = instance.num_items
     sequence = instance.sequence
@@ -89,7 +87,6 @@ def is_achievable(instance: Instance, target: Iterable[int]) -> AchievabilityCer
     cursors = [0] * instance.num_agents
     unsecured = set(target)
     my_picks: list[int] = []
-    secured: list[int] = []
 
     for step, agent in enumerate(sequence):
         if agent != MANIPULATOR:
@@ -98,7 +95,6 @@ def is_achievable(instance: Instance, target: Iterable[int]) -> AchievabilityCer
         elif unsecured:
             item = _most_endangered(instance, taken, cursors, step, unsecured, truthful_pos)
             unsecured.discard(item)
-            secured.append(item)
             taken[item] = True
             my_picks.append(item)
         else:
@@ -106,7 +102,7 @@ def is_achievable(instance: Instance, target: Iterable[int]) -> AchievabilityCer
 
     mine = set(my_picks)
     ranking = tuple(my_picks + [item for item in profile[MANIPULATOR] if item not in mine])
-    return AchievabilityCertificate(True, ranking, tuple(secured))
+    return AchievabilityCertificate(True, ranking)
 
 
 def _most_endangered(

@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from .achievability import solve_bruteforce_rankings, solve_subset_enum
 from .core import (
-    MANIPULATOR,
     Instance,
     InvalidInstanceError,
     ResourceLimitError,
@@ -205,8 +204,10 @@ class SweepConfig:
         if "agents" not in doc or "items" not in doc:
             raise InvalidInstanceError("malformed", "sweep config needs 'agents' and 'items' lists")
         fields = {}
-        for name, (default, kind, accepts) in _CONFIG_FIELDS.items():
-            values = doc.get(name, default)
+        for name, (kind, accepts) in _CONFIG_FIELDS.items():
+            if name not in doc:
+                continue
+            values = doc[name]
             if not isinstance(values, list) or not all(accepts(value) for value in values):
                 raise InvalidInstanceError("malformed", f"sweep config field {name!r} must be a list of {kind}")
             fields[name] = tuple(values)
@@ -221,14 +222,15 @@ def _is_int_or_null(value: object) -> bool:
     return value is None or _is_int(value)
 
 
-# Sweep config field -> (default, element description, element check).
+# Sweep config field -> (element description, element check).  Absent
+# fields take the SweepConfig defaults.
 _CONFIG_FIELDS = {
-    "agents": (None, "ints", _is_int),
-    "items": (None, "ints", _is_int),
-    "mu_manipulator": ([None], "ints or nulls", _is_int_or_null),
-    "target_range_max": ([None], "ints or nulls", _is_int_or_null),
-    "seeds": ([1], "ints", _is_int),
-    "algorithms": (["dp"], "strings", lambda value: isinstance(value, str)),
+    "agents": ("ints", _is_int),
+    "items": ("ints", _is_int),
+    "mu_manipulator": ("ints or nulls", _is_int_or_null),
+    "target_range_max": ("ints or nulls", _is_int_or_null),
+    "seeds": ("ints", _is_int),
+    "algorithms": ("strings", lambda value: isinstance(value, str)),
 }
 
 
@@ -278,8 +280,7 @@ def _sweep_row(point: tuple) -> dict:
         row["optimal_utility"] = result.optimal_utility
         row["truthful_utility"] = u_truthful
         row["ratio"] = str(Fraction(result.optimal_utility, u_truthful)) if u_truthful else None
-        metrics = profile_metrics(instance)
-        bounds = state_set_bounds(m, n, metrics.mu[MANIPULATOR], metrics.range_max)
+        bounds = state_set_bounds(m, n, row["mu_manipulator"], profile_metrics(instance).range_max)
         row["bound_m_pow"] = bounds["m_pow"]
         row["bound_mu"] = bounds["mu"]
         row["bound_rg_n"] = bounds["rg_n"]

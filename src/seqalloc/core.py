@@ -123,13 +123,7 @@ class Instance:
             if not isinstance(row, list):
                 raise InvalidInstanceError("malformed", f"profile row {a} must be a JSON array")
         try:
-            return cls(
-                items=tuple(doc["items"]),
-                agents=tuple(doc["agents"]),
-                sequence=tuple(doc["sequence"]),
-                profile=tuple(tuple(row) for row in doc["profile"]),
-                utilities=tuple(doc["utilities"]),
-            )
+            return cls(**{key: doc[key] for key in fields})
         except TypeError as exc:
             raise InvalidInstanceError("malformed", f"instance JSON has a wrong field shape: {exc}") from exc
 
@@ -274,18 +268,14 @@ def truthful_utility(instance: Instance) -> int:
 class ProfileMetrics:
     """Positional summary of a preference profile.
 
-    ``rank[a][i]`` is item i's 1-based rank in agent a's ranking.  The
-    range of an item counts the positions it spans across the
-    non-manipulators only; with a single agent there are none, which the
-    range fields signal with None.  ``mu[a]`` counts agent a's picking
-    turns and ``mu_prefix[a][t]`` counts her turns among the first t steps.
+    ``rank[a][i]`` is item i's 1-based rank in agent a's ranking.
+    ``range_max`` is the largest number of positions an item spans
+    across the non-manipulators' rankings; with a single agent there
+    are none, which it signals with None.
     """
 
     rank: tuple[tuple[int, ...], ...]
-    item_range: tuple[int, ...] | None
     range_max: int | None
-    mu: tuple[int, ...]
-    mu_prefix: tuple[tuple[int, ...], ...]
 
 
 def profile_metrics(instance: Instance) -> ProfileMetrics:
@@ -294,29 +284,14 @@ def profile_metrics(instance: Instance) -> ProfileMetrics:
 
     rank = tuple(_rank_of_row(row, m) for row in instance.profile)
 
-    item_range: tuple[int, ...] | None = None
     range_max: int | None = None
     if n >= 2:
         spans = []
         for item in range(m):
             positions = [rank[a][item] for a in range(1, n)]
             spans.append(max(positions) - min(positions) + 1)
-        item_range = tuple(spans)
         range_max = max(spans)
-
-    mu = [0] * n
-    prefix: list[list[int]] = [[0] for _ in range(n)]
-    for agent in instance.sequence:
-        mu[agent] += 1
-        for a in range(n):
-            prefix[a].append(prefix[a][-1] + (1 if a == agent else 0))
-    return ProfileMetrics(
-        rank=rank,
-        item_range=item_range,
-        range_max=range_max,
-        mu=tuple(mu),
-        mu_prefix=tuple(tuple(p) for p in prefix),
-    )
+    return ProfileMetrics(rank=rank, range_max=range_max)
 
 
 def _rank_of_row(row: Sequence[int], m: int) -> tuple[int, ...]:

@@ -42,7 +42,6 @@ from .core import (
     ManipulationResult,
     ResourceLimitError,
     bundle_utility,
-    greedy_pick,
     profile_metrics,
     simulate,
 )
@@ -66,9 +65,8 @@ class StateGraph:
     ``first[s]`` is the slot successor on the manipulator's turns and the
     claim successor otherwise, ``pick[s]`` the pick successor and
     ``item[s]`` the item a non-manipulator is about to take; each is
-    NONE where the move does not exist.  ``values`` and ``choices`` (the
-    chosen successor, NONE at the end of the sequence) stay None until
-    backward induction ran.
+    NONE where the move does not exist.  The graph holds only what the
+    build produces; :func:`backward_induction` returns its results.
     """
 
     banked: list[int]
@@ -78,8 +76,6 @@ class StateGraph:
     item: list[int]
     order: list[int]  # every id once, successors after their states
     distinct_sets: int  # distinct taken sets with items still on the table
-    values: list[int] | None = None
-    choices: list[int] | None = None
 
     @property
     def num_states(self) -> int:
@@ -225,8 +221,11 @@ def build_state_graph(instance: Instance, max_states: int = DEFAULT_MAX_STATES) 
     return StateGraph(banked, taken, first, pick, item, order, distinct_sets=len(distinct))
 
 
-def backward_induction(graph: StateGraph, utilities: tuple[int, ...]) -> int:
-    """Fill ``graph.values``/``graph.choices`` and return the root value.
+def backward_induction(graph: StateGraph, utilities: tuple[int, ...]) -> tuple[int, list[int]]:
+    """Return the root value and each state's chosen successor.
+
+    ``choices[s]`` is the successor an optimal play moves to from state
+    s, NONE at the end of the sequence.
 
     Terminal states pay for the banked picks all at once: the manipulator
     grabs the k best leftovers, which at the end of the sequence is all
@@ -255,9 +254,7 @@ def backward_induction(graph: StateGraph, utilities: tuple[int, ...]) -> int:
             best = _mask_utility(full ^ taken[sid], utilities)
         values[sid] = best
         choices[sid] = succ
-    graph.values = values
-    graph.choices = choices
-    return values[0]
+    return values[0], choices
 
 
 def _mask_utility(mask: int, utilities: tuple[int, ...]) -> int:
@@ -269,7 +266,9 @@ def _mask_utility(mask: int, utilities: tuple[int, ...]) -> int:
     return value
 
 
-def _recover_ranking(graph: StateGraph, instance: Instance) -> tuple[tuple[int, ...], frozenset[int]]:
+def _recover_ranking(
+    graph: StateGraph, choices: list[int], instance: Instance
+) -> tuple[tuple[int, ...], frozenset[int]]:
     """Read an optimal report off the chosen successors.
 
     Claimed items fill the manipulator's pick turns in claim order; banked
@@ -277,11 +276,10 @@ def _recover_ranking(graph: StateGraph, instance: Instance) -> tuple[tuple[int, 
     truthful order.  Everything she does not pick is appended in truthful
     order, which cannot change the outcome for her.
     """
-    assert graph.values is not None and graph.choices is not None
     claimed: list[int] = []
     sid = 0
-    while graph.choices[sid] != NONE:
-        succ = graph.choices[sid]
+    while choices[sid] != NONE:
+        succ = choices[sid]
         if succ == graph.first[sid] and graph.item[sid] != NONE:
             claimed.append(graph.item[sid])
         sid = succ
@@ -324,19 +322,18 @@ def solve_dp(instance: Instance, max_states: int = DEFAULT_MAX_STATES) -> Manipu
     """
     start = time.perf_counter()
     graph = build_state_graph(instance, max_states=max_states)
-    value = backward_induction(graph, instance.utilities)
-    ranking, bundle = _recover_ranking(graph, instance)
+    value, choices = backward_induction(graph, instance.utilities)
+    ranking, bundle = _recover_ranking(graph, choices, instance)
 
     replay = simulate(instance, ranking)
     if replay.bundles[MANIPULATOR] != bundle or bundle_utility(instance, bundle) != value:
         raise RuntimeError("internal error: recovered ranking does not replay to the computed optimum")
 
-    metrics = profile_metrics(instance)
     bounds = state_set_bounds(
         instance.num_items,
         instance.num_agents,
-        metrics.mu[MANIPULATOR],
-        metrics.range_max,
+        instance.manipulator_turns(),
+        profile_metrics(instance).range_max,
     )
     elapsed = (time.perf_counter() - start) * 1000.0
     stats = {
@@ -351,28 +348,3 @@ def solve_dp(instance: Instance, max_states: int = DEFAULT_MAX_STATES) -> Manipu
         "elapsed_ms": elapsed,
     }
     return ManipulationResult(optimal_utility=value, ranking=ranking, bundle=bundle, stats=stats)
-
-
-def forced_sets(instance: Instance) -> tuple[frozenset[int], ...]:
-    """The taken sets the manipulator cannot influence, per time step.
-
-    Run the protocol with the manipulator deleted from the sequence; the
-    first t - mu(0, t) picks of that run are taken by step t no matter
-    what she reports.  Index t of the result is the set for step t, with
-    index 0 the empty set.
-    """
-    m = instance.num_items
-    reduced = [agent for agent in instance.sequence if agent != MANIPULATOR]
-    taken = [False] * m
-    cursors = [0] * instance.num_agents
-    picks: list[int] = []
-    for agent in reduced:
-        picks.append(greedy_pick(instance.profile[agent], cursors, agent, taken))
-
-    manip_turns = 0
-    sets = [frozenset()]
-    for step, agent in enumerate(instance.sequence, start=1):
-        if agent == MANIPULATOR:
-            manip_turns += 1
-        sets.append(frozenset(picks[: step - manip_turns]))
-    return tuple(sets)

@@ -29,8 +29,21 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .core import Instance, profile_metrics
+from .core import Instance, ResourceLimitError, profile_metrics
 from .rng import SplitMix64, stream
+
+# Cap on agents x items for every generated instance, checked before any
+# allocation so that an oversized request exits instead of exhausting
+# memory.  The largest instance in the test suite has about 10,000.
+MAX_PROFILE_ENTRIES = 1_000_000
+
+
+def _check_size(agents: int, items: int) -> None:
+    if agents * items > MAX_PROFILE_ENTRIES:
+        raise ResourceLimitError(
+            f"{agents} agents x {items} items exceed the generator cap of "
+            f"{MAX_PROFILE_ENTRIES} profile entries"
+        )
 
 
 @dataclass(frozen=True)
@@ -92,6 +105,8 @@ def parse_graph(text: str) -> GraphInput:
             if len(parts) != 3:
                 raise ValueError(f"color line must be 'color v c', got {line!r}")
             vertex, color = int(parts[1]), int(parts[2])
+            if not 1 <= vertex <= num_vertices:
+                raise ValueError(f"color line names vertex {vertex} outside 1..{num_vertices}")
             if vertex in colors:
                 raise ValueError(f"vertex {vertex} colored twice")
             colors[vertex] = color
@@ -103,9 +118,9 @@ def parse_graph(text: str) -> GraphInput:
         raise ValueError(f"header promises {num_edges} edges, found {len(edges)}")
     coloring = None
     if colors:
-        missing = [v for v in range(1, num_vertices + 1) if v not in colors]
-        if missing:
-            raise ValueError(f"coloring misses vertices {missing}")
+        if len(colors) < num_vertices:
+            first = next(v for v in range(1, num_vertices + 1) if v not in colors)
+            raise ValueError(f"coloring misses {num_vertices - len(colors)} of {num_vertices} vertices, first {first}")
         coloring = tuple(colors[v] for v in range(1, num_vertices + 1))
     return GraphInput(num_vertices=num_vertices, edges=tuple(edges), coloring=coloring)
 
@@ -176,6 +191,7 @@ def gen_random(seed: int, n: int, m: int, mu_manipulator: int | None = None) -> 
     """
     if n < 1 or m < 1:
         raise ValueError("need at least one agent and one item")
+    _check_size(n, m)
     rng = stream(seed, "gen-random")
     profile = [rng.shuffle(list(range(m))) for _ in range(n)]
     sequence = _random_sequence(rng, n, m, mu_manipulator)
@@ -209,6 +225,7 @@ def gen_correlated(
         raise ValueError("need at least one agent and one item")
     if not 1 <= target_range_max <= m:
         raise ValueError(f"target range {target_range_max} out of range for {m} items")
+    _check_size(n, m)
     rng = stream(seed, "gen-correlated")
     base = rng.shuffle(list(range(m)))
     profile = [rng.shuffle(list(range(m)))]
@@ -293,6 +310,7 @@ def gen_clique_reduction(graph: GraphInput, k: int) -> tuple[Instance, dict]:
         raise ValueError("need more edges than a k-clique contains")
 
     m = 2 * V + 2 * E
+    _check_size(1 + V + E + max(0, V - k - 1), m)
     best = {v: v - 1 for v in range(1, V + 1)}
     good = {edge: V + e for e, edge in enumerate(graph.edges)}
     medium = {v: V + E + v - 1 for v in range(1, V + 1)}
@@ -419,15 +437,19 @@ def gen_mcc_reduction(graph: GraphInput, k: int) -> tuple[Instance, dict]:
         raise ValueError("the graph must carry a vertex coloring")
     V = graph.num_vertices
     used = set(graph.coloring)
-    if not used <= set(range(1, k + 1)):
+    if not all(1 <= color <= k for color in used):
         raise ValueError(f"colors must lie in 1..{k}")
-    if used != set(range(1, k + 1)):
+    if len(used) != k:
         raise ValueError("every color in 1..k must appear on some vertex")
 
     sidon = sidon_table(V)
     idn = sidon.id_values[V - 1]
     alpha = (idn + 2) * k * (k + 1)
     pairs = [(j, r) for j in range(1, k + 1) for r in range(j + 1, k + 1)]
+    # Blocks B, D and Z hold 4k(k+1)id(n) items, the identifier blocks
+    # 2k(id(n)+2) and the pair blocks (2id(n)+2) each; the agents are the
+    # manipulator, k collectors, k(k-1) pair agents, k closers and d.
+    _check_size(k * k + k + 2, 4 * k * (k + 1) * idn + 2 * k * (idn + 2) + len(pairs) * (2 * idn + 2))
 
     items: list[str] = []
     blocks: dict[str, tuple[int, int]] = {}

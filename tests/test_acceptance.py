@@ -149,7 +149,7 @@ def test_state_counts_and_invariants():
         bounds = state_set_bounds(
             instance.num_items,
             instance.num_agents,
-            metrics.mu[0],
+            instance.manipulator_turns(),
             metrics.range_max,
         )
         for name, cap in bounds.items():

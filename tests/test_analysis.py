@@ -171,6 +171,14 @@ def test_sweep_survives_resource_limited_rows():
     assert rows[1]["status"] == "ok"
 
 
+def test_sweep_row_for_an_oversized_instance():
+    # 2 x 600,000 profile entries exceed the generators' size cap; the
+    # generator refuses before a solver sees the instance.
+    (row,) = run_sweep(SweepConfig(agents=(2,), items=(600_000,), algorithms=("brute",)))
+    assert row["status"] == "resource-limit"
+    assert row["mu_manipulator"] is None
+
+
 def test_sweep_survives_internal_errors(monkeypatch):
     """An internal error marks its row; the rest of the grid still runs."""
 

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from seqalloc import (
     SWEEP_COLUMNS,
@@ -10,6 +16,7 @@ from seqalloc import (
     Instance,
     cli,
     gen_random,
+    gen_tight_family,
 )
 
 CLIQUE_GRAPH = "5 5\n1 2\n1 3\n2 3\n3 4\n4 5\n"
@@ -165,6 +172,15 @@ def test_generate_rejects_uncolored_graph_for_mcc(tmp_path):
     assert proc.returncode == 3
 
 
+def test_generate_refuses_an_oversized_instance():
+    # 2 x 600,000 profile entries exceed the generators' size cap.
+    proc = run_cli("generate", "--type", "random", "--agents", "2", "--items", "600000")
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr.count("error[") == 1
+    assert "error[resource-limit]" in proc.stderr
+
+
 def test_export_ilp(example_json):
     proc = run_cli("export-ilp", stdin_text=example_json)
     assert proc.returncode == 0
@@ -301,3 +317,99 @@ def test_exit_code_for_usage_errors():
     assert run_cli("solve", "--no-such-flag").returncode == 2
     assert run_cli("frobnicate").returncode == 2
     assert run_cli().returncode == 2
+
+
+# Fuzzing cli.main in-process: a mutated input may be rejected (exit 3) or
+# hit a size guard (exit 4), but never escape as an exception or print
+# anything but exactly one error line.
+
+INSTANCE_DOCUMENTS = [gen_random(3, 3, 6)[0].to_json(), gen_tight_family(1000)[0].to_json()]
+INSTANCE_COMMANDS = [
+    ["solve", "--algo", "dp"],
+    ["solve", "--algo", "subset"],
+    ["solve", "--algo", "brute"],
+    ["check"],
+    ["simulate"],
+    ["export-ilp"],
+]
+INSTANCE_FIELDS = ["items", "agents", "sequence", "profile", "utilities"]
+MUTATION_ALPHABET = '0123456789-[]{},:" ae\n'
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 2**64) | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=6),
+    max_leaves=12,
+)
+
+
+@st.composite
+def character_mutations(draw, bases, alphabet):
+    """A base text after 1-3 truncations, swaps, substitutions, insertions or deletions."""
+    text = draw(st.sampled_from(bases))
+    for _ in range(draw(st.integers(1, 3))):
+        if not text:
+            break
+        at = draw(st.integers(0, len(text) - 1))
+        kind = draw(st.sampled_from(["truncate", "swap", "substitute", "insert", "delete"]))
+        if kind == "truncate":
+            text = text[:at]
+        elif kind == "swap":
+            other = draw(st.integers(0, len(text) - 1))
+            chars = list(text)
+            chars[at], chars[other] = chars[other], chars[at]
+            text = "".join(chars)
+        elif kind == "substitute":
+            text = text[:at] + draw(st.sampled_from(alphabet)) + text[at + 1 :]
+        elif kind == "insert":
+            text = text[:at] + draw(st.text(alphabet, min_size=1, max_size=3)) + text[at:]
+        else:
+            text = text[:at] + text[at + draw(st.integers(1, 8)) :]
+    return text
+
+
+@st.composite
+def field_replacements(draw):
+    """A base instance document with one field replaced or dropped."""
+    doc = json.loads(draw(st.sampled_from(INSTANCE_DOCUMENTS)))
+    field = draw(st.sampled_from(INSTANCE_FIELDS))
+    if draw(st.booleans()):
+        del doc[field]
+    else:
+        doc[field] = draw(json_values)
+    return json.dumps(doc)
+
+
+def main_in_process(argv, flag, text):
+    """Run cli.main with ``text`` as the file behind ``flag``; return (exit, stderr)."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main([*argv, flag, path])
+    return code, stderr.getvalue()
+
+
+def assert_clean_exit(code, stderr):
+    assert code in (0, 3, 4), stderr
+    assert stderr.count("error[") == (0 if code == 0 else 1), stderr
+
+
+@given(
+    st.sampled_from(INSTANCE_COMMANDS),
+    character_mutations(INSTANCE_DOCUMENTS, MUTATION_ALPHABET) | field_replacements(),
+)
+@settings(deadline=None, max_examples=150)
+def test_fuzzed_instance_documents_exit_cleanly(command, text):
+    assert_clean_exit(*main_in_process(command, "--in", text))
+
+
+@given(
+    st.sampled_from(["clique", "mcc"]),
+    st.integers(1, 4),
+    character_mutations([CLIQUE_GRAPH, MCC_GRAPH], "0123456789 \n#-"),
+)
+@settings(deadline=None, max_examples=100)
+def test_fuzzed_graph_files_exit_cleanly(kind, k, text):
+    assert_clean_exit(*main_in_process(["generate", "--type", kind, "--k", str(k)], "--graph", text))

@@ -100,13 +100,9 @@ def test_zero_utility_is_allowed(running_example):
 
 def test_profile_metrics(running_example):
     metrics = profile_metrics(running_example)
-    assert metrics.mu == (2, 1, 1)
     assert metrics.rank[0] == (1, 2, 3, 4)
     assert metrics.rank[1] == (3, 4, 1, 2)
-    assert metrics.item_range == (3, 3, 3, 3)
     assert metrics.range_max == 3
-    assert metrics.mu_prefix[0] == (0, 1, 1, 1, 2)
-    assert metrics.mu_prefix[1] == (0, 0, 1, 1, 1)
 
 
 def test_profile_metrics_identical_rankings():
@@ -130,9 +126,7 @@ def test_profile_metrics_single_agent_has_no_range():
         utilities=[2, 1],
     )
     metrics = profile_metrics(instance)
-    assert metrics.item_range is None
     assert metrics.range_max is None
-    assert metrics.mu == (2,)
 
 
 def test_json_round_trip(running_example):

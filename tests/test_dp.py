@@ -6,7 +6,6 @@ from seqalloc import (
     Instance,
     ResourceLimitError,
     build_state_graph,
-    forced_sets,
     simulate,
     solve_bruteforce_rankings,
     solve_dp,
@@ -118,37 +117,6 @@ def test_manipulator_without_turns():
     assert result.optimal_utility == 0
     assert result.bundle == frozenset()
     assert result.ranking == (0, 1)
-
-
-def test_forced_sets_regression(running_example):
-    sets = forced_sets(running_example)
-    assert sets == (
-        frozenset(),
-        frozenset(),
-        frozenset({2}),
-        frozenset({0, 2}),
-        frozenset({0, 2}),
-    )
-
-
-def test_forced_sets_single_agent():
-    instance = Instance(
-        items=["a", "b"],
-        agents=["solo"],
-        sequence=[0, 0],
-        profile=[[0, 1]],
-        utilities=[2, 1],
-    )
-    assert forced_sets(instance) == (frozenset(), frozenset(), frozenset())
-
-
-def test_forced_sets_are_taken_under_any_report(running_example):
-    """Whatever she reports, the forced set is gone by step t."""
-    for ranking in [(0, 1, 2, 3), (3, 2, 1, 0), (1, 3, 0, 2)]:
-        log = simulate(running_example, ranking).pick_log
-        for t, forced in enumerate(forced_sets(running_example)):
-            taken = {item for _, _, item in log[:t]}
-            assert forced <= taken
 
 
 def test_stats_carry_state_bounds(running_example):

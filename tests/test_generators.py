@@ -1,9 +1,11 @@
 import itertools
+import tracemalloc
 
 import pytest
 
 from seqalloc import (
     GraphInput,
+    ResourceLimitError,
     bundle_class_signature,
     gen_clique_reduction,
     gen_correlated,
@@ -18,6 +20,7 @@ from seqalloc import (
     solve_subset_enum,
     truthful_utility,
 )
+from seqalloc import generators
 
 TRIANGLE_PLUS = GraphInput(4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4)))
 FOUR_CYCLE = GraphInput(4, ((1, 2), (2, 3), (3, 4), (1, 4)))
@@ -84,11 +87,14 @@ def test_parse_graph_without_colors():
         "3 1\n1 2\ncolor 1 1\n",
         "3 1\n1 2\ncolor 1 1\ncolor 1 2\ncolor 2 1\ncolor 3 1\n",
         "3 1\n1 2\ncolor 1\n",
+        "4 1\n1 2\ncolor 1 1\ncolor 2 1\ncolor 3 2\ncolor 4 2\ncolor 99 7\n",
+        "1000000 0\ncolor 1 1\n",
     ],
 )
 def test_parse_graph_rejects_bad_text(text):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         parse_graph(text)
+    assert len(str(err.value)) < 200
 
 
 def test_graph_normalizes_edge_order():
@@ -264,6 +270,49 @@ def test_mcc_preconditions():
     stray_color = GraphInput(4, ((1, 3), (1, 4), (2, 3)), coloring=(1, 1, 2, 3))
     with pytest.raises(ValueError):
         gen_mcc_reduction(stray_color, 2)
+    # A huge k is refused without materializing the colors 1..k.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            gen_mcc_reduction(MCC_GRAPH, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+# Each request asks for 1.2-1.5 times MAX_PROFILE_ENTRIES agent x item
+# entries, so a missing guard costs megabytes, not gigabytes.
+OVERSIZED = {
+    "random": lambda: gen_random(1, 2, 600_000),
+    "correlated": lambda: gen_correlated(1, 2, 600_000, 1),
+    "clique": lambda: gen_clique_reduction(parse_graph("600 1\n1 2\n"), 1),
+    "mcc": lambda: gen_mcc_reduction(GraphInput(50, ((1, 2),), coloring=tuple(1 + v % 2 for v in range(50))), 2),
+}
+
+SMALL = {
+    "random": lambda: gen_random(1, 3, 7),
+    "correlated": lambda: gen_correlated(1, 4, 9, 3),
+    "clique": lambda: gen_clique_reduction(TRIANGLE_PLUS, 2),
+    "mcc": lambda: gen_mcc_reduction(MCC_GRAPH, 2),
+}
+
+
+@pytest.mark.parametrize("family", sorted(OVERSIZED))
+def test_generators_refuse_oversized_instances(family):
+    with pytest.raises(ResourceLimitError, match="generator cap"):
+        OVERSIZED[family]()
+
+
+@pytest.mark.parametrize("family", sorted(SMALL))
+def test_size_cap_counts_the_built_instance_exactly(monkeypatch, family):
+    instance, _ = SMALL[family]()
+    entries = instance.num_agents * instance.num_items
+    monkeypatch.setattr(generators, "MAX_PROFILE_ENTRIES", entries)
+    SMALL[family]()
+    monkeypatch.setattr(generators, "MAX_PROFILE_ENTRIES", entries - 1)
+    with pytest.raises(ResourceLimitError):
+        SMALL[family]()
 
 
 def test_metadata_json_is_canonical():

@@ -14,7 +14,6 @@ from seqalloc import (
     build_model,
     build_state_graph,
     export_lp,
-    forced_sets,
     is_achievable,
     parse_lp,
     profile_metrics,
@@ -115,18 +114,6 @@ def test_stored_states_satisfy_invariants(instance):
     graph = build_state_graph(instance)
     checked = verify_state_invariants(instance, graph)
     assert checked == (graph.num_states if instance.num_agents > 1 else 0)
-
-
-@given(instance_with_ranking())
-@settings(deadline=None)
-def test_forced_sets_are_taken_under_any_report(pair):
-    instance, ranking = pair
-    forced = forced_sets(instance)
-    allocation = simulate(instance, ranking)
-    taken = set()
-    for step, _, item in allocation.pick_log:
-        taken.add(item)
-        assert forced[step] <= taken
 
 
 @given(instances())
