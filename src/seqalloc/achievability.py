@@ -145,11 +145,16 @@ def solve_subset_enum(instance: Instance, budget: int = DEFAULT_SUBSET_BUDGET) -
     start = time.perf_counter()
     m = instance.num_items
     mu = instance.manipulator_turns()
-    total = math.comb(m, mu)
-    if total > budget:
-        raise ResourceLimitError(
-            f"subset enumeration needs C({m}, {mu}) = {total} > {budget} candidates; raise the budget to force it"
-        )
+    # C(m, mu) as a running product of exact binomials C(m - k + i, i),
+    # which only grow, so the refusal comes before the count gets large.
+    total = 1
+    k = min(mu, m - mu)
+    for i in range(1, k + 1):
+        total = total * (m - k + i) // i
+        if total > budget:
+            raise ResourceLimitError(
+                f"subset enumeration needs C({m}, {mu}) > {budget} candidates; raise the budget to force it"
+            )
 
     utilities = instance.utilities
     truthful = simulate(instance)

@@ -227,13 +227,16 @@ def backward_induction(graph: StateGraph, utilities: tuple[int, ...]) -> tuple[i
     ``choices[s]`` is the successor an optimal play moves to from state
     s, NONE at the end of the sequence.
 
-    Terminal states pay for the banked picks all at once: the manipulator
-    grabs the k best leftovers, which at the end of the sequence is all
-    of them.  Ties between claiming and letting an agent pick go to the
-    claim, which keeps the recovered ranking deterministic.
+    ``values[s]`` is minus the utility the other agents still take from
+    s on: a pick arc costs the picked item, claim and slot arcs cost
+    nothing, and terminal states are worth 0, because the manipulator's
+    banked picks grab every leftover at the end of the sequence.  This
+    differs from her own utility from s on by sum(u) - u(taken set), a
+    constant per state, so the argmax is the same, and the root value is
+    sum(u) + values[0].  Ties between claiming and letting an agent pick
+    go to the claim, which keeps the recovered ranking deterministic.
     """
-    first, pick, item, taken = graph.first, graph.pick, graph.item, graph.taken
-    full = (1 << len(utilities)) - 1
+    first, pick, item = graph.first, graph.pick, graph.item
     size = graph.num_states
     values = [0] * size
     choices = [NONE] * size
@@ -241,29 +244,18 @@ def backward_induction(graph: StateGraph, utilities: tuple[int, ...]) -> tuple[i
         succ = pick[sid]
         claim = first[sid]
         if succ != NONE:
-            best = values[succ]
-            if claim != NONE:
-                value = values[claim] + utilities[item[sid]]
-                if value >= best:
-                    best = value
-                    succ = claim
+            best = values[succ] - utilities[item[sid]]
+            if claim != NONE and values[claim] >= best:
+                best = values[claim]
+                succ = claim
         elif claim != NONE:
             succ = claim
             best = values[claim]
         else:
-            best = _mask_utility(full ^ taken[sid], utilities)
+            continue
         values[sid] = best
         choices[sid] = succ
-    return values[0], choices
-
-
-def _mask_utility(mask: int, utilities: tuple[int, ...]) -> int:
-    value = 0
-    while mask:
-        low = mask & -mask
-        value += utilities[low.bit_length() - 1]
-        mask ^= low
-    return value
+    return sum(utilities) + values[0], choices
 
 
 def _recover_ranking(

@@ -8,8 +8,12 @@ behaviour: either i is picked at t, or the picker takes something she
 prefers to i at t, or i was picked at an earlier step.  The objective
 sums the manipulator's utilities over her steps only.
 
-This module writes and parses the model as LP-format text so it can be
-diffed and fed to off-the-shelf MILP solvers; no solver is linked in.
+This module writes the model as LP-format text so it can be diffed and
+fed to off-the-shelf MILP solvers; no solver is linked in.
+:func:`export_lp` is the one definition of the dialect: :func:`parse_lp`
+reads only the numbers and accepts a text only if re-exporting its model
+gives the same bytes.  :data:`MAX_LP_TERMS` caps the text's size, since the
+greedy rows hold O(m^3) terms.
 The test suite solves the exported text with an external MILP solver,
 which shares nothing with the package's solvers.  It holds the optimum
 to the dynamic program's, the feasibility of a target-securing model to
@@ -22,7 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import MANIPULATOR, Instance
+from .core import MANIPULATOR, Instance, ResourceLimitError
+
+MAX_LP_TERMS = 10_000_000  # variable occurrences in the exported text
 
 
 class GreedyRow(NamedTuple):
@@ -62,9 +68,22 @@ class IpModel:
 
 
 def build_model(instance: Instance) -> IpModel:
-    """Encode an instance; emits one greedy row per (non-manipulator step, item)."""
+    """Encode an instance; emits one greedy row per (non-manipulator step, item).
+
+    Refuses, before building any row, a model whose LP text would hold
+    more than MAX_LP_TERMS variable occurrences: m per manipulator step in
+    the objective, 3m^2 in the bijection rows and the Binary section, and
+    at each other step t, m rows of 1 + |better| + (t - 1) terms, where
+    the |better| sum to m(m - 1)/2.
+    """
     m = instance.num_items
     manip_steps = tuple(t for t, agent in enumerate(instance.sequence, start=1) if agent == MANIPULATOR)
+    terms = m * len(manip_steps) + 3 * m * m
+    terms += sum(
+        m * (m + 1) // 2 + m * (t - 1) for t, agent in enumerate(instance.sequence, start=1) if agent != MANIPULATOR
+    )
+    if terms > MAX_LP_TERMS:
+        raise ResourceLimitError(f"LP text would hold {terms} variable terms > MAX_LP_TERMS={MAX_LP_TERMS}")
     rows = []
     for t, agent in enumerate(instance.sequence, start=1):
         if agent == MANIPULATOR:
@@ -123,91 +142,43 @@ def export_lp(model: IpModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_var(token: str) -> tuple[int, int]:
-    parts = token.split("_")
-    if len(parts) != 3 or parts[0] != "x":
-        raise ValueError(f"unexpected variable name {token!r}")
-    return int(parts[1]), int(parts[2])
-
-
 def parse_lp(text: str) -> IpModel:
     """Rebuild a model from its LP text.  export_lp(parse_lp(s)) == s.
 
-    Only the exact dialect written by :func:`export_lp` is understood;
-    anything else raises ValueError.
+    Only the numbers are read: m (the count of item rows), the objective
+    coefficients and each greedy row's item, step and better items.  The
+    text is accepted only if :func:`export_lp` writes it back byte for
+    byte, so the dialect has that one definition; anything else raises
+    ValueError.  The counts the export depends on are checked against
+    the text first, which keeps the re-export within a constant factor
+    of the input's length.
     """
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
-    try:
-        max_at = lines.index("Maximize")
-        st_at = lines.index("Subject To")
-        bin_at = lines.index("Binary")
-        end_at = lines.index("End")
-    except ValueError as exc:
-        raise ValueError(f"missing LP section: {exc}") from exc
-    if not max_at < st_at < bin_at < end_at:
-        raise ValueError("LP sections out of order")
-
-    objective = " ".join(lines[max_at + 1 : st_at])
-    if not objective.startswith("obj:"):
-        raise ValueError("objective must be named obj")
-    coefficient: dict[int, int] = {}
-    manip_steps: set[int] = set()
-    body = objective[len("obj:") :].strip()
-    if body:
-        for term in body.split(" + "):
-            coeff_text, var = term.split()
-            item, step = _parse_var(var)
-            manip_steps.add(step)
-            known = coefficient.get(item)
-            if known is not None and known != int(coeff_text):
-                raise ValueError(f"item {item} has conflicting objective coefficients")
-            coefficient[item] = int(coeff_text)
-
-    m: int | None = None
-    greedy_rows: list[GreedyRow] = []
-    greedy_steps: set[int] = set()
-    for line in lines[st_at + 1 : bin_at]:
-        name, sep, rest = line.partition(":")
-        if not sep:
-            raise ValueError(f"constraint line {line!r} lacks a name")
-        rest = rest.strip()
-        is_cover = ">=" in rest
-        lhs, _, rhs = rest.partition(">=" if is_cover else "=")
-        if rhs.strip() != "1":
-            raise ValueError(f"row {name!r} must have right-hand side 1")
-        variables = [_parse_var(token) for token in lhs.strip().split(" + ")]
-        if name.startswith("item_") or name.startswith("step_"):
-            if is_cover:
-                raise ValueError(f"row {name!r} must be an equality")
-            if m is None:
-                m = len(variables)
-            elif len(variables) != m:
-                raise ValueError(f"row {name!r} has {len(variables)} terms, expected {m}")
-            continue
-        if not name.startswith("greedy_") or not is_cover:
-            raise ValueError(f"unexpected row {name!r}")
-        item, step = variables[0]
-        better = tuple(i for i, t in variables[1:] if t == step)
-        earlier = [t for i, t in variables[1:] if i == item and t != step]
-        if len(better) + len(earlier) != len(variables) - 1 or sorted(earlier) != list(range(1, step)):
-            raise ValueError(f"row {name!r} is not a greedy cover row")
-        greedy_rows.append(GreedyRow(item, step, better))
-        greedy_steps.add(step)
-    if m is None:
-        raise ValueError("LP text lacks bijection rows")
-
-    binaries = lines[bin_at + 1 : end_at]
-    if len(binaries) != m * m:
-        raise ValueError(f"expected {m * m} binary variables, found {len(binaries)}")
-
+    lines = text.split("\n")
+    m = sum(line.startswith(" item_") for line in lines)
+    greedy = [line for line in lines if line.startswith(" greedy_")]
+    # Six more: four section headers, the objective and the empty string
+    # after the final newline.
+    if m < 1 or len(lines) != 2 * m + len(greedy) + m * m + 6:
+        raise ValueError("LP text does not have the line count of an exported model")
+    _, _, objective = lines[1].partition(": ")
+    coefficients = [int(term.partition(" ")[0]) for term in objective.split(" + ")] if objective else []
+    rows = []
+    for line in greedy:
+        name, _, body = line.partition(": ")
+        item, step = (int(part) for part in name[len(" greedy_") :].split("_"))
+        terms = body.removesuffix(" >= 1").split(" + ")
+        if not 1 <= step <= min(m, len(terms)):
+            raise ValueError(f"row {name.strip()!r} is not a greedy cover row")
+        # x_{item}_{step}, then the better items' x_{j}_{step}, then the
+        # step - 1 earlier x_{item}_{t}: the export checks every name.
+        better = tuple(int(term[2:].partition("_")[0]) for term in terms[1 : len(terms) - step + 1])
+        rows.append(GreedyRow(item, step, better))
+    greedy_steps = {row.step for row in rows}
     steps = tuple(t for t in range(1, m + 1) if t not in greedy_steps)
-    if manip_steps and set(steps) != manip_steps:
-        raise ValueError("objective steps disagree with the greedy rows")
-    utilities = tuple(coefficient.get(item, 0) for item in range(1, m + 1))
-    return IpModel(
-        num_items=m,
-        utilities=utilities,
-        manipulator_steps=steps,
-        greedy_rows=tuple(greedy_rows),
-    )
-
+    if len(coefficients) != m * len(steps):
+        raise ValueError("objective does not have one term per item and manipulator step")
+    utilities = tuple(coefficients[:: len(steps)]) if steps else (0,) * m
+    model = IpModel(num_items=m, utilities=utilities, manipulator_steps=steps, greedy_rows=tuple(rows))
+    if export_lp(model) != text:
+        raise ValueError("LP text is not what export_lp writes for the model it describes")
+    return model

@@ -38,7 +38,7 @@ def running_example_steep(running_example) -> Instance:
     )
 
 
-def seeded_instances(count: int, agents=(2, 3, 4), items=(4, 5, 6, 7), tag: str = "tests"):
+def seeded_instances(count: int, agents=(2, 3, 4), items=(4, 5, 6, 7)):
     """Deterministic stream of small random instances for cross-checks."""
     produced = 0
     seed = 0

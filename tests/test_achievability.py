@@ -122,6 +122,12 @@ def test_subset_enum_budget():
     instance, _ = gen_random(1, 2, 24, mu_manipulator=12)
     with pytest.raises(ResourceLimitError):
         solve_subset_enum(instance, budget=1000)
+    # C(20000, 10000) has over 6,000 digits: the refusal must neither
+    # compute nor print it.
+    instance, _ = gen_random(1, 2, 20_000)
+    with pytest.raises(ResourceLimitError) as info:
+        solve_subset_enum(instance)
+    assert len(str(info.value)) < 200
 
 
 def test_subset_enum_when_manipulator_takes_all():

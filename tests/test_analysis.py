@@ -179,6 +179,13 @@ def test_sweep_row_for_an_oversized_instance():
     assert row["mu_manipulator"] is None
 
 
+def test_sweep_row_past_the_subset_budget():
+    (row,) = run_sweep(SweepConfig(agents=(2,), items=(20_000,), algorithms=("subset",)))
+    # The generator built the instance; the solver refused it.
+    assert row["mu_manipulator"] is not None
+    assert row["status"] == "resource-limit"
+
+
 def test_sweep_survives_internal_errors(monkeypatch):
     """An internal error marks its row; the rest of the grid still runs."""
 

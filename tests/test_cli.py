@@ -303,6 +303,25 @@ def test_exit_code_for_resource_limit():
     assert "error[resource-limit]" in proc.stderr
 
 
+def test_subset_budget_refusal_is_one_short_line():
+    instance, _ = gen_random(1, 2, 20_000)
+    proc = run_cli("solve", "--algo", "subset", stdin_text=instance.to_json())
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error[resource-limit]: ")
+    assert len(line) < 200
+
+
+def test_export_ilp_refuses_an_oversized_model():
+    # 2 agents x 1,000 items would write ~5e8 variable terms.
+    instance, _ = gen_random(1, 2, 1000)
+    code, stderr = main_in_process(["export-ilp"], "--in", instance.to_json())
+    assert code == 4
+    (line,) = stderr.splitlines()
+    assert line.startswith("error[resource-limit]: LP text would hold ")
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [("--max-states", "-5"), ("--enum-budget", "0"), ("--brute-limit", "-1")],

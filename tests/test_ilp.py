@@ -1,10 +1,15 @@
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings
 
 from conftest import milp_solve, seeded_instances
+from test_cli import character_mutations
 from seqalloc import (
     GreedyRow,
     Instance,
     IpModel,
+    ResourceLimitError,
     build_model,
     export_lp,
     gen_correlated,
@@ -12,6 +17,11 @@ from seqalloc import (
     parse_lp,
     simulate,
     solve_dp,
+)
+from seqalloc import ilp
+
+ONE_ITEM_LP = export_lp(
+    build_model(Instance(items=["x"], agents=["a"], sequence=[0], profile=[[0]], utilities=[1]))
 )
 
 
@@ -79,11 +89,53 @@ def test_round_trip_on_random_instances():
         "Maximize\n obj: 1 x_1_1\nBinary\nEnd\n",
         "Maximize\n obj: 1 y_1\nSubject To\n item_1: x_1_1 = 1\nBinary\n x_1_1\nEnd\n",
         "Maximize\n obj: 1 x_1_1\nSubject To\n item_1: x_1_1 = 2\nBinary\n x_1_1\nEnd\n",
+        ONE_ITEM_LP.replace("Binary\n x_1_1", "Binary\n 7x_1_1"),
+        ONE_ITEM_LP.replace("\n ", "\n  "),
     ],
 )
 def test_parse_rejects_foreign_text(text):
     with pytest.raises(ValueError):
         parse_lp(text)
+
+
+LP_TEXTS = [ONE_ITEM_LP] + [export_lp(build_model(instance)) for instance in seeded_instances(6, items=(2, 3, 4))]
+
+
+@given(character_mutations(LP_TEXTS, "x_0123456789 +:=>\n"))
+@settings(deadline=None, max_examples=300)
+def test_parse_accepts_only_what_export_writes(text):
+    """A mutated export either reads back to a model that writes it again, or is a ValueError."""
+    try:
+        model = parse_lp(text)
+    except ValueError:
+        return
+    assert export_lp(model) == text
+
+
+def test_parse_allocation_is_bounded_by_the_text():
+    """A step number written in the text must not size an allocation."""
+    text = ONE_ITEM_LP.replace("Binary", " greedy_1_1: x_1_1000000 >= 1\nBinary").replace(" 1 x_1_1", "")
+    assert len(text) == 112
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            parse_lp(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_lp_term_cap_counts_the_export_exactly(monkeypatch, seed):
+    """The cap counts every variable occurrence build_model's export would write."""
+    instance, _ = gen_random(seed, 1 + seed % 4, 3 + 2 * seed)
+    terms = export_lp(build_model(instance)).count("x_")
+    monkeypatch.setattr(ilp, "MAX_LP_TERMS", terms)
+    build_model(instance)
+    monkeypatch.setattr(ilp, "MAX_LP_TERMS", terms - 1)
+    with pytest.raises(ResourceLimitError):
+        build_model(instance)
 
 
 def _manipulator_picks(instance, solution) -> list[int]:
