@@ -131,7 +131,8 @@ def verify_state_invariants(instance: Instance, graph: StateGraph) -> int:
         prefix_masks.append(masks)
 
     checked = 0
-    for banked, taken in zip(graph.banked, graph.taken):
+    for banked, sset in zip(graph.banked, graph.set_id):
+        taken = graph.taken[sset]
         favourites = []
         union = 0
         for a in range(1, n):

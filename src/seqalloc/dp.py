@@ -21,14 +21,19 @@ every reachable S equals the union of the prefixes that the other agents
 have scanned past, which caps the number of distinct sets well below
 2^m (see :func:`state_set_bounds` for the implemented caps).
 
-The same observation gives the state key.  On reachable states S is
-fixed by each non-manipulator's cursor, the position of her favourite
-remaining item in her ranking, so a state is identified by k and one int
-packing the cursor vector, and S rides along as a bitmask.  A claim or
-pick of item b advances only the cursors that pointed at b.  The graph
-is stored as flat parallel lists indexed by state id, where a state's id
-is fixed when it is first discovered; a separate processing order drives
-backward induction.  Induction and ranking recovery read the same lists.
+The same observation gives the graph its two layers.  On reachable
+states S is fixed by each non-manipulator's cursor, the position of her
+favourite remaining item in her ranking, so one int packing the cursor
+vector identifies S.  The set layer gives each distinct cursor key a set
+id when it is first reached and stores the set's bitmask once.  A
+non-manipulator's move, the item she takes and the successor set,
+depends on her and S alone, not on k, so it is computed at most once
+per (picker, set id) and kept in flat per-picker lists; a claim or pick
+of item b advances only the cursors that pointed at b.  The banked
+layer holds the states: each carries k, its set id and its arcs, in
+flat parallel lists indexed by state id.  A state's id is fixed when it
+is first discovered; a separate processing order drives backward
+induction.  Induction and ranking recovery read the same lists.
 """
 
 from __future__ import annotations
@@ -53,28 +58,33 @@ NONE = -1  # no successor, or no contested item
 
 @dataclass
 class StateGraph:
-    """Reachable-state graph as parallel lists indexed by state id.
+    """Reachable-state graph: a banked layer of states over a set layer.
 
-    Ids are handed out in discovery order, so state 0 is the start
-    (0, empty set), but a successor may have a smaller id than its state.
-    ``order`` lists the ids in processing order: level by level (level =
-    picks so far), within a level by decreasing banked count, then in
-    discovery order.  Every successor comes later in ``order`` than its
-    state, so one sweep over ``reversed(order)`` computes values.
+    State lists are indexed by state id.  Ids are handed out in discovery
+    order, so state 0 is the start (0, empty set), but a successor may
+    have a smaller id than its state.  ``order`` lists the ids in
+    processing order: level by level (level = picks so far), within a
+    level by decreasing banked count, then in discovery order.  Every
+    successor comes later in ``order`` than its state, so one sweep over
+    ``reversed(order)`` computes values.
 
+    ``set_id[s]`` indexes ``taken``, which holds each distinct taken set
+    once, as a bitmask, in the order the sets were first reached.
     ``first[s]`` is the slot successor on the manipulator's turns and the
     claim successor otherwise, ``pick[s]`` the pick successor and
     ``item[s]`` the item a non-manipulator is about to take; each is
-    NONE where the move does not exist.  The graph holds only what the
+    NONE where the move does not exist.  The per-picker moves of the set
+    layer live only while the build runs.  The graph holds only what the
     build produces; :func:`backward_induction` returns its results.
     """
 
     banked: list[int]
-    taken: list[int]  # bitmask over item indices
+    set_id: list[int]  # index into taken
     first: list[int]
     pick: list[int]
     item: list[int]
     order: list[int]  # every id once, successors after their states
+    taken: list[int]  # per set id: bitmask over item indices
     distinct_sets: int  # distinct taken sets with items still on the table
 
     @property
@@ -87,7 +97,7 @@ class StateGraph:
 
     def taken_sets(self) -> set[frozenset[int]]:
         """All distinct taken sets, as item-index sets."""
-        return {_mask_to_set(mask) for mask in set(self.taken)}
+        return {_mask_to_set(mask) for mask in self.taken}
 
 
 def _mask_to_set(mask: int) -> frozenset[int]:
@@ -118,13 +128,30 @@ def build_state_graph(instance: Instance, max_states: int = DEFAULT_MAX_STATES) 
         if a != MANIPULATOR
     ]
 
-    # Every list gets its entry when a state is discovered, so each arc
-    # is written once, with its final id.  The buckets of the level being
-    # expanded and of the next one map banked count -> {packed cursor key:
-    # state id}; ``order`` lists the ids bucket by bucket as they are
+    # Set layer.  ``taken`` holds each set's mask by set id.  ``set_ids``
+    # maps set size -> {cursor key: set id}; a set of size s is looked up
+    # only while levels s - 1 .. s + mu - 1 are expanded, and expanded only
+    # at levels s .. s + mu, so its lookup dict is dropped at level s + mu.
+    # ``keys`` holds each set's cursor key and ``moves``, per
+    # non-manipulator, the successor set id and the item she takes, NONE
+    # until first needed.  Both are indexed by set id - ``base`` and lose
+    # their prefix as sets fall behind: every set first reached before
+    # level L - mu - 1 has fewer than L - mu items, so no level from L on
+    # expands it.
+    taken = [0]
+    set_ids: dict[int, dict[int, int]] = {0: {0: 0}}
+    keys = [0]
+    moves = [([], []) for _ in agents]
+    base = 0
+    level_start: list[int] = []  # first set id reached at each level
+
+    # Banked layer.  Every list gets its entry when a state is discovered,
+    # so each arc is written once, with its final id.  The buckets of the
+    # level being expanded and of the next one map banked count -> {set
+    # id: state id}; ``order`` lists the ids bucket by bucket as they are
     # expanded, which is the processing order.
     banked = [0]
-    taken = [0]
+    set_id = [0]
     first = [NONE]
     pick = [NONE]
     item = [NONE]
@@ -138,6 +165,24 @@ def build_state_graph(instance: Instance, max_states: int = DEFAULT_MAX_STATES) 
         )
 
     for level in range(m + 1):
+        level_start.append(len(taken))
+        set_ids.pop(level - mu, None)
+        if level > mu:
+            dead = level_start[level - mu - 1] - base
+            base += dead
+            del keys[:dead]
+            for column in moves:
+                del column[0][:dead], column[1][:dead]
+        picker = sequence[level] if level < m else MANIPULATOR
+        if picker != MANIPULATOR:
+            shift, row, _ = agents[picker - 1]
+            # Sets reached during this level are appended to the picker's
+            # columns as they appear, since a claim successor is expanded
+            # at the same level.
+            succ_sets, favs = moves[picker - 1]
+            missing = len(taken) - base - len(succ_sets)
+            succ_sets.extend([NONE] * missing)
+            favs.extend([NONE] * missing)
         upcoming: dict[int, dict[int, int]] = {}
         for k in range(min(level, mu), -1, -1):
             bucket = buckets.get(k)
@@ -146,25 +191,26 @@ def build_state_graph(instance: Instance, max_states: int = DEFAULT_MAX_STATES) 
             order.extend(bucket.values())
             if level == m:
                 continue
-            picker = sequence[level]
             if picker == MANIPULATOR:
-                # Only this bucket feeds (level + 1, k + 1), and keys are
+                # Only this bucket feeds (level + 1, k + 1), and set ids are
                 # unique within it, so every slot successor is new.
                 target = upcoming[k + 1] = {}
-                for key, sid in bucket.items():
+                for sset, sid in bucket.items():
                     succ = len(banked)
                     if succ >= max_states:
                         raise over_cap()
-                    target[key] = first[sid] = succ
+                    target[sset] = first[sid] = succ
                     banked.append(k + 1)
-                    taken.append(taken[sid])
+                    set_id.append(sset)
                     first.append(NONE)
                     pick.append(NONE)
                     item.append(NONE)
                 continue
 
-            shift = agents[picker - 1][0]
-            row = instance.profile[picker]
+            # Every set in this bucket has level - k items.
+            grown = set_ids.get(level - k + 1)
+            if grown is None:
+                grown = set_ids[level - k + 1] = {}
             target = upcoming[k] = {}
             if k:
                 # The claim bucket (level, k - 1) is expanded right after
@@ -172,40 +218,56 @@ def build_state_graph(instance: Instance, max_states: int = DEFAULT_MAX_STATES) 
                 claims = buckets.get(k - 1)
                 if claims is None:
                     claims = buckets[k - 1] = {}
-            for key, sid in bucket.items():
-                fav = row[key >> shift & field]
-                new_mask = taken[sid] | 1 << fav
-                new_key = key
-                # Inline bitmask scan rather than core.greedy_pick: this is
-                # the hot loop of the build, and it moves several cursors.
-                for agent_shift, ranking, bits in agents:
-                    cursor = key >> agent_shift & field
-                    if ranking[cursor] == fav:
-                        moved = cursor + 1
-                        while new_mask & bits[moved]:
-                            moved += 1
-                        new_key += moved - cursor << agent_shift
+            for sset, sid in bucket.items():
+                slot = sset - base
+                succ_set = succ_sets[slot]
+                if succ_set == NONE:
+                    key = keys[slot]
+                    fav = row[key >> shift & field]
+                    new_mask = taken[sset] | 1 << fav
+                    new_key = key
+                    # Inline bitmask scan rather than core.greedy_pick: this
+                    # is the hot loop of the build, and it moves several
+                    # cursors.
+                    for agent_shift, ranking, bits in agents:
+                        cursor = key >> agent_shift & field
+                        if ranking[cursor] == fav:
+                            moved = cursor + 1
+                            while new_mask & bits[moved]:
+                                moved += 1
+                            new_key += moved - cursor << agent_shift
+                    succ_set = grown.get(new_key)
+                    if succ_set is None:
+                        succ_set = grown[new_key] = len(taken)
+                        keys.append(new_key)
+                        taken.append(new_mask)
+                        succ_sets.append(NONE)
+                        favs.append(NONE)
+                    succ_sets[slot] = succ_set
+                    favs[slot] = fav
+                else:
+                    fav = favs[slot]
                 if k:
-                    succ = claims.get(new_key)
+                    succ = claims.get(succ_set)
                     if succ is None:
                         succ = len(banked)
                         if succ >= max_states:
                             raise over_cap()
-                        claims[new_key] = succ
+                        claims[succ_set] = succ
                         banked.append(k - 1)
-                        taken.append(new_mask)
+                        set_id.append(succ_set)
                         first.append(NONE)
                         pick.append(NONE)
                         item.append(NONE)
                     first[sid] = succ
-                succ = target.get(new_key)
+                succ = target.get(succ_set)
                 if succ is None:
                     succ = len(banked)
                     if succ >= max_states:
                         raise over_cap()
-                    target[new_key] = succ
+                    target[succ_set] = succ
                     banked.append(k)
-                    taken.append(new_mask)
+                    set_id.append(succ_set)
                     first.append(NONE)
                     pick.append(NONE)
                     item.append(NONE)
@@ -216,9 +278,8 @@ def build_state_graph(instance: Instance, max_states: int = DEFAULT_MAX_STATES) 
     # The spent position (every item identified) is not a picking position;
     # the closed-form caps count sets where someone can still move, so it
     # stays out of distinct_sets.  It still appears in taken and taken_sets.
-    distinct = set(taken)
-    distinct.discard((1 << m) - 1)
-    return StateGraph(banked, taken, first, pick, item, order, distinct_sets=len(distinct))
+    distinct = len(taken) - ((1 << m) - 1 in taken)
+    return StateGraph(banked, set_id, first, pick, item, order, taken, distinct_sets=distinct)
 
 
 def backward_induction(graph: StateGraph, utilities: tuple[int, ...]) -> tuple[int, list[int]]:
@@ -275,7 +336,7 @@ def _recover_ranking(
         if succ == graph.first[sid] and graph.item[sid] != NONE:
             claimed.append(graph.item[sid])
         sid = succ
-    final = graph.taken[sid]
+    final = graph.taken[graph.set_id[sid]]
     truthful = instance.profile[MANIPULATOR]
     leftovers = [item for item in truthful if not final >> item & 1]
     mine = claimed + leftovers

@@ -167,11 +167,12 @@ def parse_lp(text: str) -> IpModel:
         name, _, body = line.partition(": ")
         item, step = (int(part) for part in name[len(" greedy_") :].split("_"))
         terms = body.removesuffix(" >= 1").split(" + ")
-        if not 1 <= step <= min(m, len(terms)):
-            raise ValueError(f"row {name.strip()!r} is not a greedy cover row")
         # x_{item}_{step}, then the better items' x_{j}_{step}, then the
-        # step - 1 earlier x_{item}_{t}: the export checks every name.
+        # step - 1 earlier x_{item}_{t}: the export checks every name, but
+        # not that the items exist.
         better = tuple(int(term[2:].partition("_")[0]) for term in terms[1 : len(terms) - step + 1])
+        if not 1 <= step <= min(m, len(terms)) or not all(1 <= j <= m for j in (item, *better)):
+            raise ValueError(f"row {name.strip()!r} is not a greedy cover row over items 1..{m}")
         rows.append(GreedyRow(item, step, better))
     greedy_steps = {row.step for row in rows}
     steps = tuple(t for t in range(1, m + 1) if t not in greedy_steps)

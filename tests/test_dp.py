@@ -28,7 +28,8 @@ def _state_keys(graph, instance, view):
     """
     rows = [row for a, row in enumerate(instance.profile) if a != MANIPULATOR]
     keys = []
-    for banked, mask in zip(graph.banked, graph.taken):
+    for banked, sset in zip(graph.banked, graph.set_id):
+        mask = graph.taken[sset]
         if view == "item":
             keys.append((banked, mask))
         else:
@@ -157,7 +158,7 @@ def _assert_order_contract(graph):
     order = graph.order
     assert sorted(order) == list(range(graph.num_states))
     assert order[0] == 0
-    assert (graph.banked[0], graph.taken[0]) == (0, 0)
+    assert (graph.banked[0], graph.taken[graph.set_id[0]]) == (0, 0)
     position = [0] * graph.num_states
     for place, sid in enumerate(order):
         position[sid] = place
@@ -176,3 +177,42 @@ def test_order_is_topological_on_golden_instances(case):
 @given(instances(max_agents=4, max_items=8))
 def test_order_is_topological(instance):
     _assert_order_contract(build_state_graph(instance))
+
+
+def _assert_set_layer(graph, instance):
+    """Set ids and masks are in bijection, and every state's mask is its own.
+
+    Each state's mask, read through its set id, must equal the union of
+    the ranking prefixes above the non-manipulators' cursors scanned from
+    that mask, and every arc must add exactly its item to the mask.
+    """
+    taken = graph.taken
+    assert len(set(taken)) == len(taken)
+    assert sorted(set(graph.set_id)) == list(range(len(taken)))
+    full = (1 << instance.num_items) - 1
+    assert graph.distinct_sets == len(taken) - (full in taken)
+    rows = [row for a, row in enumerate(instance.profile) if a != MANIPULATOR]
+    for (_, cursors), sset in zip(_state_keys(graph, instance, "agent"), graph.set_id):
+        rebuilt = 0
+        for row, cursor in zip(rows, cursors):
+            for it in row[:cursor]:
+                rebuilt |= 1 << it
+        assert rebuilt == taken[sset], (cursors, taken[sset])
+    for sid, sset in enumerate(graph.set_id):
+        mask = taken[sset]
+        grown = mask | 1 << graph.item[sid] if graph.item[sid] != NONE else mask
+        if graph.first[sid] != NONE:
+            assert taken[graph.set_id[graph.first[sid]]] == grown
+        if graph.pick[sid] != NONE:
+            assert taken[graph.set_id[graph.pick[sid]]] == grown != mask
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_CASES))
+def test_set_layer_is_exact_on_golden_instances(case):
+    _assert_set_layer(build_state_graph(GOLDEN_CASES[case]), GOLDEN_CASES[case])
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(max_agents=4, max_items=8))
+def test_set_layer_is_exact(instance):
+    _assert_set_layer(build_state_graph(instance), instance)

@@ -23,6 +23,9 @@ from seqalloc import ilp
 ONE_ITEM_LP = export_lp(
     build_model(Instance(items=["x"], agents=["a"], sequence=[0], profile=[[0]], utilities=[1]))
 )
+TWO_ITEM_LP = export_lp(
+    build_model(Instance(items=["x", "y"], agents=["a", "b"], sequence=[0, 1], profile=[[0, 1]] * 2, utilities=[2, 1]))
+)
 
 
 def test_model_dimensions(running_example):
@@ -91,6 +94,10 @@ def test_round_trip_on_random_instances():
         "Maximize\n obj: 1 x_1_1\nSubject To\n item_1: x_1_1 = 2\nBinary\n x_1_1\nEnd\n",
         ONE_ITEM_LP.replace("Binary\n x_1_1", "Binary\n 7x_1_1"),
         ONE_ITEM_LP.replace("\n ", "\n  "),
+        # Row and better items outside 1..m round-trip through the export.
+        TWO_ITEM_LP.replace(" greedy_1_2: x_1_2 + x_1_1", " greedy_1_2: x_1_2 + x_5_2 + x_1_1"),
+        TWO_ITEM_LP.replace(" greedy_1_2: x_1_2 + x_1_1", " greedy_1_2: x_1_2 + x_0_2 + x_1_1"),
+        TWO_ITEM_LP.replace("Binary", " greedy_3_2: x_3_2 + x_3_1 >= 1\nBinary"),
     ],
 )
 def test_parse_rejects_foreign_text(text):
@@ -167,6 +174,18 @@ def test_milp_matches_dp_beyond_small_sizes():
             assert solution.value == solve_dp(instance).optimal_utility, (m, n)
             checked += 1
     assert checked == 16
+
+
+def test_milp_matches_dp_at_m_32_to_40():
+    """DP against the MILP oracle at m 32-40, n 2-4; each solve takes 0.5-2 s."""
+    for instance in (
+        gen_random(105, 3, 32)[0],
+        gen_correlated(108, 2, 36, 3)[0],
+        gen_correlated(113, 3, 40, 3)[0],
+        gen_random(114, 4, 40)[0],
+    ):
+        solution = milp_solve(export_lp(build_model(instance)))
+        assert solution.value == solve_dp(instance).optimal_utility, (instance.num_items, instance.num_agents)
 
 
 def test_naive_result_replays(running_example):
