@@ -173,7 +173,7 @@ def build_state_graph(instance: Instance, max_states: int = DEFAULT_MAX_STATES) 
             del keys[:dead]
             for column in moves:
                 del column[0][:dead], column[1][:dead]
-        picker = sequence[level] if level < m else MANIPULATOR
+        picker = sequence[level] if level < m else MANIPULATOR  # level m expands nothing
         if picker != MANIPULATOR:
             shift, row, _ = agents[picker - 1]
             # Sets reached during this level are appended to the picker's
