@@ -21,10 +21,11 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .core import (
+    DEFAULT_RANKING_ITEM_LIMIT,
+    DEFAULT_SUBSET_BUDGET,
     MANIPULATOR,
     Instance,
     ManipulationResult,
@@ -34,14 +35,10 @@ from .core import (
     simulate,
 )
 
-DEFAULT_SUBSET_BUDGET = 5_000_000
-DEFAULT_RANKING_ITEM_LIMIT = 8
-
 _NEVER = 1 << 60
 
 
-@dataclass(frozen=True)
-class AchievabilityCertificate:
+class AchievabilityCertificate(NamedTuple):
     """Outcome of an achievability check.
 
     For achievable targets, ``ranking`` is a report that secures them:

@@ -11,30 +11,27 @@ Ratios are exact fractions; no float ever decides a verdict.
 
 from __future__ import annotations
 
-import csv
 import io
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .achievability import solve_bruteforce_rankings, solve_subset_enum
 from .core import (
     Instance,
     InvalidInstanceError,
+    ManipulationResult,
     ResourceLimitError,
     profile_metrics,
     truthful_utility,
 )
 from .dp import StateGraph, solve_dp, state_set_bounds
-from .generators import gen_correlated, gen_random
 
 
 class BoundViolationError(RuntimeError):
     """A proven bound failed on a concrete instance; something is buggy."""
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Joint report of the ratio check and the state-count check.
 
     ``ratio`` is exact (optimal over truthful) and None when the
@@ -113,8 +110,11 @@ def verify_state_invariants(instance: Instance, graph: StateGraph) -> int:
     item; the favourites' ranks may pairwise differ by at most
     range_max - 1; and every taken item outside the second agent's
     scanned prefix must sit within 2 * range_max positions below her
-    favourite.  Returns the number of states checked; raises
-    BoundViolationError on the first violation.
+    favourite.  The invariants depend on the taken set alone, so each
+    set is checked once, at the first state over it in id order; that
+    state's banked count k names the set in errors.  Returns the number
+    of states covered (every state); raises BoundViolationError on the
+    first violation.
     """
     n = instance.num_agents
     if n < 2:
@@ -130,8 +130,11 @@ def verify_state_invariants(instance: Instance, graph: StateGraph) -> int:
             masks.append(masks[-1] | 1 << item)
         prefix_masks.append(masks)
 
-    checked = 0
+    checked = [False] * len(graph.taken)
     for banked, sset in zip(graph.banked, graph.set_id):
+        if checked[sset]:
+            continue
+        checked[sset] = True
         taken = graph.taken[sset]
         favourites = []
         union = 0
@@ -168,12 +171,10 @@ def verify_state_invariants(instance: Instance, graph: StateGraph) -> int:
                         f"taken item {item} at rank {item_rank} leaves the window "
                         f"({rank + 1}..{rank + 2 * range_max}) of agent {agent}"
                     )
-        checked += 1
-    return checked
+    return graph.num_states
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(NamedTuple):
     """Parameter grid for :func:`bench_sweep`.
 
     The grid is the cartesian product of the fields, iterated in field
@@ -256,14 +257,31 @@ SWEEP_COLUMNS = [
     "elapsed_ms",
 ]
 
+
+# The sweep alone needs the exhaustive solvers and the generators, so they
+# are imported where used and ``check`` loads neither.
+def _solve_subset(instance: Instance) -> ManipulationResult:
+    from .achievability import solve_subset_enum
+
+    return solve_subset_enum(instance)
+
+
+def _solve_brute(instance: Instance) -> ManipulationResult:
+    from .achievability import solve_bruteforce_rankings
+
+    return solve_bruteforce_rankings(instance)
+
+
 _SOLVERS = {
     "dp": lambda instance: solve_dp(instance),
-    "subset": lambda instance: solve_subset_enum(instance),
-    "brute": lambda instance: solve_bruteforce_rankings(instance),
+    "subset": _solve_subset,
+    "brute": _solve_brute,
 }
 
 
 def _sweep_row(point: tuple) -> dict:
+    from .generators import gen_correlated, gen_random
+
     n, m, mu, target, seed, algorithm = point
     row = {column: None for column in SWEEP_COLUMNS}
     row.update({"n": n, "m": m, "target_range_max": target, "seed": seed, "algorithm": algorithm})
@@ -319,6 +337,8 @@ def run_sweep(config: SweepConfig) -> list[dict]:
 
 def sweep_to_csv(rows: list[dict], timings: bool = False) -> str:
     """Render sweep rows as CSV; timings are zeroed unless requested."""
+    import csv
+
     out = io.StringIO()
     writer = csv.DictWriter(out, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
     writer.writeheader()

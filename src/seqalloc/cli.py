@@ -14,14 +14,12 @@ import argparse
 import json
 import sys
 
-from . import analysis, generators
-from .achievability import (
+# Every subcommand reads or builds an instance, so core loads up front;
+# each _cmd_* imports the rest of what it runs, and nothing else loads.
+from .core import (
+    DEFAULT_MAX_STATES,
     DEFAULT_RANKING_ITEM_LIMIT,
     DEFAULT_SUBSET_BUDGET,
-    solve_bruteforce_rankings,
-    solve_subset_enum,
-)
-from .core import (
     Instance,
     InvalidInstanceError,
     ResourceLimitError,
@@ -29,8 +27,6 @@ from .core import (
     simulate,
     truthful_utility,
 )
-from .dp import DEFAULT_MAX_STATES, solve_dp
-from .ilp import build_model, export_lp
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -66,10 +62,16 @@ def _note(message: str) -> None:
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = _load_instance(args.input)
     if args.algo == "dp":
+        from .dp import solve_dp
+
         result = solve_dp(instance, max_states=args.max_states)
     elif args.algo == "subset":
+        from .achievability import solve_subset_enum
+
         result = solve_subset_enum(instance, budget=args.enum_budget)
     else:
+        from .achievability import solve_bruteforce_rankings
+
         result = solve_bruteforce_rankings(instance, limit=args.brute_limit)
     _write_text(args.out, result.to_json(timings=args.timings))
     _note(
@@ -96,6 +98,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from . import generators
+
     if args.type == "random":
         instance, metadata = generators.gen_random(args.seed, args.agents, args.items, args.mu)
     elif args.type == "correlated":
@@ -122,6 +126,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_ilp(args: argparse.Namespace) -> int:
+    from .ilp import build_model, export_lp
+
     instance = _load_instance(args.input)
     model = build_model(instance)
     _write_text(args.out, export_lp(model))
@@ -133,6 +139,8 @@ def _cmd_export_ilp(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from . import analysis
+
     instance = _load_instance(args.input)
     report = analysis.check_state_bounds(instance, max_states=args.max_states)
     _write_text(args.out, json.dumps(report.to_json_dict(), indent=2) + "\n")
@@ -142,6 +150,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from . import analysis
+
     try:
         doc = json.loads(_read_text(args.config))
     except (json.JSONDecodeError, RecursionError) as exc:

@@ -21,12 +21,17 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 MANIPULATOR = 0
 
 UTILITY_SUM_LIMIT = 2**63 - 1
+
+# Solver budgets.  They live here, beside ResourceLimitError, so that the
+# CLI can show them as option defaults without loading the solvers.
+DEFAULT_MAX_STATES = 2_000_000
+DEFAULT_SUBSET_BUDGET = 5_000_000
+DEFAULT_RANKING_ITEM_LIMIT = 8
 
 
 class InvalidInstanceError(ValueError):
@@ -57,15 +62,17 @@ class ResourceLimitError(RuntimeError):
     """A solver or builder exceeded one of its configured budgets."""
 
 
-@dataclass(frozen=True)
 class Instance:
     """One sequential allocation instance.
 
     ``sequence[t]`` is the agent picking at time step t (0-based here;
     reports and logs use 1-based steps).  ``profile[a]`` is agent a's
     truthful ranking.  ``utilities[i]`` is the manipulator's utility for
-    item i.  Construction validates all invariants.
+    item i.  Construction validates all invariants; instances are
+    immutable and compare equal field by field.
     """
+
+    __slots__ = ("items", "agents", "sequence", "profile", "utilities")
 
     items: tuple[str, ...]
     agents: tuple[str, ...]
@@ -73,13 +80,36 @@ class Instance:
     profile: tuple[tuple[int, ...], ...]
     utilities: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
-        object.__setattr__(self, "agents", tuple(self.agents))
-        object.__setattr__(self, "sequence", tuple(self.sequence))
-        object.__setattr__(self, "profile", tuple(tuple(row) for row in self.profile))
-        object.__setattr__(self, "utilities", tuple(self.utilities))
+    def __init__(self, items, agents, sequence, profile, utilities):
+        object.__setattr__(self, "items", tuple(items))
+        object.__setattr__(self, "agents", tuple(agents))
+        object.__setattr__(self, "sequence", tuple(sequence))
+        object.__setattr__(self, "profile", tuple(tuple(row) for row in profile))
+        object.__setattr__(self, "utilities", tuple(utilities))
         _check_instance(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: Instance is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: Instance is immutable")
+
+    def _key(self) -> tuple:
+        return (self.items, self.agents, self.sequence, self.profile, self.utilities)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (
+            f"Instance(items={self.items!r}, agents={self.agents!r}, sequence={self.sequence!r}, "
+            f"profile={self.profile!r}, utilities={self.utilities!r})"
+        )
 
     @property
     def num_items(self) -> int:
@@ -190,8 +220,7 @@ def _require_permutation(row: Sequence[int], m: int, label: str) -> None:
         seen[item] = True
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(NamedTuple):
     """Outcome of one full run of the picking protocol.
 
     ``bundles[a]`` is the set of items agent a ended up with and
@@ -264,8 +293,7 @@ def truthful_utility(instance: Instance) -> int:
     return bundle_utility(instance, simulate(instance).bundles[MANIPULATOR])
 
 
-@dataclass(frozen=True)
-class ProfileMetrics:
+class ProfileMetrics(NamedTuple):
     """Positional summary of a preference profile.
 
     ``rank[a][i]`` is item i's 1-based rank in agent a's ranking.
@@ -301,8 +329,7 @@ def _rank_of_row(row: Sequence[int], m: int) -> tuple[int, ...]:
     return tuple(rank)
 
 
-@dataclass(frozen=True)
-class ManipulationResult:
+class ManipulationResult(NamedTuple):
     """Best response found by one of the solvers.
 
     ``ranking`` is the report achieving ``optimal_utility``; replaying it

@@ -39,9 +39,9 @@ induction.  Induction and ranking recovery read the same lists.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from .core import (
+    DEFAULT_MAX_STATES,
     MANIPULATOR,
     Instance,
     ManipulationResult,
@@ -51,12 +51,9 @@ from .core import (
     simulate,
 )
 
-DEFAULT_MAX_STATES = 2_000_000
-
 NONE = -1  # no successor, or no contested item
 
 
-@dataclass
 class StateGraph:
     """Reachable-state graph: a banked layer of states over a set layer.
 
@@ -76,7 +73,10 @@ class StateGraph:
     NONE where the move does not exist.  The per-picker moves of the set
     layer live only while the build runs.  The graph holds only what the
     build produces; :func:`backward_induction` returns its results.
+    Graphs compare equal field by field.
     """
+
+    __slots__ = ("banked", "set_id", "first", "pick", "item", "order", "taken", "distinct_sets")
 
     banked: list[int]
     set_id: list[int]  # index into taken
@@ -86,6 +86,21 @@ class StateGraph:
     order: list[int]  # every id once, successors after their states
     taken: list[int]  # per set id: bitmask over item indices
     distinct_sets: int  # distinct taken sets with items still on the table
+
+    def __init__(self, banked, set_id, first, pick, item, order, taken, distinct_sets):
+        self.banked = banked
+        self.set_id = set_id
+        self.first = first
+        self.pick = pick
+        self.item = item
+        self.order = order
+        self.taken = taken
+        self.distinct_sets = distinct_sets
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     @property
     def num_states(self) -> int:

@@ -27,7 +27,7 @@ the original class/proof-frame values so analyses can recover them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Instance, ResourceLimitError, profile_metrics
 from .rng import SplitMix64, stream
@@ -46,26 +46,28 @@ def _check_size(agents: int, items: int) -> None:
         )
 
 
-@dataclass(frozen=True)
 class GraphInput:
     """A simple undirected graph, vertices 1..num_vertices.
 
     Edges are normalized to (low, high) and sorted; loops and duplicate
     edges are rejected.  ``coloring[v - 1]`` is vertex v's color when a
-    coloring is present, and colorings must cover every vertex.
+    coloring is present, and colorings must cover every vertex.  Graphs
+    are immutable and compare equal field by field.
     """
+
+    __slots__ = ("num_vertices", "edges", "coloring")
 
     num_vertices: int
     edges: tuple[tuple[int, int], ...]
-    coloring: tuple[int, ...] | None = None
+    coloring: tuple[int, ...] | None
 
-    def __post_init__(self):
-        if self.num_vertices < 1:
+    def __init__(self, num_vertices, edges, coloring=None):
+        if num_vertices < 1:
             raise ValueError("graph needs at least one vertex")
         seen = set()
         normalized = []
-        for u, v in self.edges:
-            if not 1 <= u <= self.num_vertices or not 1 <= v <= self.num_vertices:
+        for u, v in edges:
+            if not 1 <= u <= num_vertices or not 1 <= v <= num_vertices:
                 raise ValueError(f"edge ({u}, {v}) leaves the vertex range")
             if u == v:
                 raise ValueError(f"loop at vertex {u} is not allowed")
@@ -74,12 +76,33 @@ class GraphInput:
                 raise ValueError(f"duplicate edge {edge}")
             seen.add(edge)
             normalized.append(edge)
-        object.__setattr__(self, "edges", tuple(sorted(normalized)))
-        if self.coloring is not None:
-            coloring = tuple(self.coloring)
-            if len(coloring) != self.num_vertices:
+        if coloring is not None:
+            coloring = tuple(coloring)
+            if len(coloring) != num_vertices:
                 raise ValueError("coloring must assign a color to every vertex")
-            object.__setattr__(self, "coloring", coloring)
+        object.__setattr__(self, "num_vertices", num_vertices)
+        object.__setattr__(self, "edges", tuple(sorted(normalized)))
+        object.__setattr__(self, "coloring", coloring)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: GraphInput is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: GraphInput is immutable")
+
+    def _key(self) -> tuple:
+        return (self.num_vertices, self.edges, self.coloring)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"GraphInput(num_vertices={self.num_vertices!r}, edges={self.edges!r}, coloring={self.coloring!r})"
 
 
 def parse_graph(text: str) -> GraphInput:
@@ -125,8 +148,7 @@ def parse_graph(text: str) -> GraphInput:
     return GraphInput(num_vertices=num_vertices, edges=tuple(edges), coloring=coloring)
 
 
-@dataclass(frozen=True)
-class SidonTable:
+class SidonTable(NamedTuple):
     """Sum-distinct vertex identifiers via the Erdos-Turan construction.
 
     With p the smallest prime above n, id(i) = 2*p*i + (i*i mod p) for

@@ -23,7 +23,6 @@ run to the encoding itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import MANIPULATOR, Instance, ResourceLimitError
@@ -39,8 +38,7 @@ class GreedyRow(NamedTuple):
     better: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class IpModel:
+class IpModel(NamedTuple):
     """Integer program for one instance.  All indices are 1-based.
 
     ``utilities[i - 1]`` is the objective coefficient of item i at each

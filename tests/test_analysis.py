@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -71,9 +70,9 @@ def test_check_state_bounds_raises_on_either_fact(monkeypatch, running_example, 
     def broken(instance, **kwargs):
         result = honest(instance, **kwargs)
         if fault == "ratio":
-            return dataclasses.replace(result, optimal_utility=2 * 6)
+            return result._replace(optimal_utility=2 * 6)
         stats = dict(result.stats, distinct_sets=result.stats["bound_m_pow"] + 1)
-        return dataclasses.replace(result, stats=stats)
+        return result._replace(stats=stats)
 
     monkeypatch.setattr(analysis, "solve_dp", broken)
     message = "reaches twice the truthful 6" if fault == "ratio" else "17 distinct taken sets exceed bound m_pow = 16"
@@ -135,6 +134,17 @@ def test_invariants_catch_foreign_graph(running_example):
     )
     with pytest.raises(BoundViolationError):
         verify_state_invariants(impostor, graph)
+
+
+def test_invariant_error_names_the_first_state_over_the_set(running_example):
+    """Each set is checked once; a failure names its first state's banked count."""
+    graph = build_state_graph(running_example)
+    shared = max(sorted(set(graph.set_id)), key=graph.set_id.count)
+    assert graph.set_id.count(shared) > 1
+    first = graph.set_id.index(shared)
+    graph.taken[shared] = 0b10  # item 1 alone lies above no agent's favourite
+    with pytest.raises(BoundViolationError, match=rf"^state \(k={graph.banked[first]}, taken=10\) "):
+        verify_state_invariants(running_example, graph)
 
 
 def test_sweep_cross_checks_dp_against_brute():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -19,6 +20,7 @@ from seqalloc import (
     gen_tight_family,
 )
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 CLIQUE_GRAPH = "5 5\n1 2\n1 3\n2 3\n3 4\n4 5\n"
 MCC_GRAPH = "4 3\n1 3\n1 4\n2 3\ncolor 1 1\ncolor 2 1\ncolor 3 2\ncolor 4 2\n"
 
@@ -275,7 +277,7 @@ def _raise(error):
         ("check", "seqalloc.analysis.check_state_bounds", BoundViolationError("state cap m_pow exceeded")),
         (
             "solve",
-            "seqalloc.cli.solve_dp",
+            "seqalloc.dp.solve_dp",
             RuntimeError("internal error: recovered ranking does not replay to the computed optimum"),
         ),
     ],
@@ -336,6 +338,50 @@ def test_exit_code_for_usage_errors():
     assert run_cli("solve", "--no-such-flag").returncode == 2
     assert run_cli("frobnicate").returncode == 2
     assert run_cli().returncode == 2
+
+
+# Runs ``python -m seqalloc <argv>`` in the calling interpreter and prints
+# the exit code and every module loaded.
+FOOTPRINT_CHILD = """
+import json, runpy, sys
+sys.path.insert(0, sys.argv[1])
+sys.argv = ["seqalloc", *sys.argv[2:]]
+try:
+    runpy.run_module("seqalloc", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["generate", "--type", "random"], ["seqalloc.analysis"]),
+        (["solve", "--algo", "dp"], ["seqalloc.analysis"]),
+        (["simulate"], ["seqalloc.analysis"]),
+        (["export-ilp"], ["seqalloc.analysis"]),
+        (["check"], ["seqalloc.generators", "seqalloc.achievability", "csv"]),
+    ],
+    ids=["generate", "solve-dp", "simulate", "export-ilp", "check"],
+)
+def test_subcommands_load_only_what_they_run(tmp_path, example_json, argv, absent):
+    """Each subcommand imports its own modules, and no module pulls in dataclasses."""
+    source = tmp_path / "instance.json"
+    source.write_text(example_json)
+    if argv[0] != "generate":
+        argv = [*argv, "--in", str(source)]
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", FOOTPRINT_CHILD, str(SRC), *argv, "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    doc = json.loads(proc.stdout)
+    assert doc["code"] == 0, proc.stderr
+    loaded = set(doc["modules"])
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+    assert loaded.isdisjoint(absent)
 
 
 # Fuzzing cli.main in-process: a mutated input may be rejected (exit 3) or
