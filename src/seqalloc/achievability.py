@@ -10,10 +10,15 @@ integer program with the target required in the manipulator's bundle,
 which shares no code with this module.
 
 On top of the check sit two exhaustive solvers for the best-response
-problem: one enumerating candidate bundles (exponential only in the
-number of the manipulator's turns) and one trying every reported
-ranking (factorial, cross-check only).  Every replay here picks through
-:func:`~seqalloc.core.greedy_pick`, the same kernel as ``simulate``.
+problem: a branch and bound over candidate bundles (C(m, mu) sets in
+the worst case, exponential only in the number of the manipulator's
+turns) and one trying every reported ranking (factorial, cross-check
+only).  The branch and bound cuts a branch when the chosen items plus
+the largest utilities still available fall below the best bundle found
+so far; sets cut that way would lose on value alone, so it makes
+exactly the achievability checks that a scan of every set would.
+Every replay here picks through :func:`~seqalloc.core.greedy_pick`, the
+same kernel as ``simulate``.
 """
 
 from __future__ import annotations
@@ -74,23 +79,47 @@ def is_achievable(instance: Instance, target: Iterable[int]) -> AchievabilityCer
         return AchievabilityCertificate(False)
     if not target:
         return AchievabilityCertificate(True, instance.profile[MANIPULATOR])
+    ranking = _secure(_Protocol.of(instance), target)
+    return AchievabilityCertificate(ranking is not None, ranking)
 
-    m = instance.num_items
-    sequence = instance.sequence
-    profile = instance.profile
-    truthful_pos = {item: pos for pos, item in enumerate(profile[MANIPULATOR])}
 
-    taken = [False] * m
-    cursors = [0] * instance.num_agents
+class _Protocol(NamedTuple):
+    """What the greedy rule reads of an instance, computed once per instance."""
+
+    sequence: tuple[int, ...]
+    profile: tuple[tuple[int, ...], ...]
+    others: list[int]  # the other agents' turns, in order
+    truthful_pos: list[int]  # item -> position in her truthful ranking
+
+    @classmethod
+    def of(cls, instance: Instance) -> _Protocol:
+        truthful_pos = [0] * instance.num_items
+        for pos, item in enumerate(instance.profile[MANIPULATOR]):
+            truthful_pos[item] = pos
+        others = [agent for agent in instance.sequence if agent != MANIPULATOR]
+        return cls(instance.sequence, instance.profile, others, truthful_pos)
+
+
+def _secure(protocol: _Protocol, target: Iterable[int]) -> tuple[int, ...] | None:
+    """The greedy rule on a nonempty, in-range target of at most mu items.
+
+    Returns a ranking that secures ``target``, or None when none does.
+    Callers check the target; this kernel does not.
+    """
+    sequence, profile, others, truthful_pos = protocol
+    taken = [False] * len(truthful_pos)
+    cursors = [0] * len(profile)
     unsecured = set(target)
     my_picks: list[int] = []
+    others_done = 0
 
-    for step, agent in enumerate(sequence):
+    for agent in sequence:
         if agent != MANIPULATOR:
+            others_done += 1
             if greedy_pick(profile[agent], cursors, agent, taken) in unsecured:
-                return AchievabilityCertificate(False)
+                return None
         elif unsecured:
-            item = _most_endangered(instance, taken, cursors, step, unsecured, truthful_pos)
+            item = _most_endangered(profile, others[others_done:], taken, cursors, unsecured, truthful_pos)
             unsecured.discard(item)
             taken[item] = True
             my_picks.append(item)
@@ -98,28 +127,27 @@ def is_achievable(instance: Instance, target: Iterable[int]) -> AchievabilityCer
             my_picks.append(greedy_pick(profile[MANIPULATOR], cursors, MANIPULATOR, taken))
 
     mine = set(my_picks)
-    ranking = tuple(my_picks + [item for item in profile[MANIPULATOR] if item not in mine])
-    return AchievabilityCertificate(True, ranking)
+    return tuple(my_picks + [item for item in profile[MANIPULATOR] if item not in mine])
 
 
 def _most_endangered(
-    instance: Instance,
-    taken: list[int],
+    profile: tuple[tuple[int, ...], ...],
+    pickers: list[int],
+    taken: list[bool],
     cursors: list[int],
-    step: int,
     unsecured: set[int],
-    truthful_pos: dict[int, int],
+    truthful_pos: list[int],
 ) -> int:
-    """Unsecured target taken soonest if the manipulator stops picking."""
+    """Unsecured target taken soonest if the manipulator stops picking.
+
+    ``pickers`` are the other agents' remaining turns, in order.
+    """
     hypothetical = taken.copy()
     hypo_cursors = cursors.copy()
     removal: dict[int, int] = {}
     missing = len(unsecured)
-    for t in range(step + 1, len(instance.sequence)):
-        agent = instance.sequence[t]
-        if agent == MANIPULATOR:
-            continue
-        item = greedy_pick(instance.profile[agent], hypo_cursors, agent, hypothetical)
+    for t, agent in enumerate(pickers):
+        item = greedy_pick(profile[agent], hypo_cursors, agent, hypothetical)
         if item in unsecured:
             removal[item] = t
             missing -= 1
@@ -128,16 +156,52 @@ def _most_endangered(
     return min(unsecured, key=lambda item: (removal.get(item, _NEVER), truthful_pos[item]))
 
 
+def _completion_bounds(utilities: tuple[int, ...], mu: int) -> list[list[int]]:
+    """``bounds[d][j]``: the most that mu - d items from j + d onward can add.
+
+    That is the sum of the mu - d largest utilities among items
+    j + d .. m - 1.  A bundle's d-th smallest item (0-based) lies in
+    d .. d + m - mu, so j runs over 0 .. m - mu and the table holds
+    (mu + 1) x (m - mu + 1) entries, never m x mu.  Each row follows
+    from the one below: the best completion from j either skips item
+    j + d or takes it.
+    """
+    slack = len(utilities) - mu
+    row = [0] * (slack + 1)
+    rows = [row]
+    for d in range(mu - 1, -1, -1):
+        below = row
+        row = [0] * (slack + 1)
+        best = row[slack] = utilities[slack + d] + below[slack]
+        for j in range(slack - 1, -1, -1):
+            take = utilities[j + d] + below[j]
+            if take > best:
+                best = take
+            row[j] = best
+        rows.append(row)
+    rows.reverse()
+    return rows
+
+
 def solve_subset_enum(instance: Instance, budget: int = DEFAULT_SUBSET_BUDGET) -> ManipulationResult:
-    """Optimal manipulation by enumerating candidate bundles.
+    """Optimal manipulation by branch and bound over candidate bundles.
 
     With mu picking turns the optimal bundle has exactly mu items, so
-    enumerating the C(m, mu) item sets and keeping the best achievable
-    one is exact.  Subsets are visited in lexicographic order; a subset
-    is tested only when it beats the incumbent (the truthful bundle
-    seeds it, being always achievable), which prunes almost all
-    achievability calls.
-    Ties in value resolve to the lexicographically smallest sorted set.
+    the best achievable one among the C(m, mu) item sets is optimal.
+    The truthful bundle, always achievable, seeds the incumbent.  Sets
+    are walked depth first in lexicographic order, an explicit stack
+    holding the chosen prefix and its utility.  A branch is cut once
+    the prefix plus the largest utilities still available falls below
+    the incumbent, so every cut set would have lost on value alone.  A
+    set that survives to a leaf is checked for achievability only when
+    it beats the incumbent: higher value, or equal value and
+    lexicographically smaller.  The sets checked, and the order they
+    are checked in, are those of a plain scan over all C(m, mu) sets;
+    only the sets that lose on value are skipped faster.  Ties in value
+    resolve to the lexicographically smallest sorted set.
+
+    ``subsets_enumerated`` reports C(m, mu), the worst case, which is
+    held to ``budget`` before the walk starts.
     """
     start = time.perf_counter()
     m = instance.num_items
@@ -157,23 +221,43 @@ def solve_subset_enum(instance: Instance, budget: int = DEFAULT_SUBSET_BUDGET) -
     truthful = simulate(instance)
     best_set = tuple(sorted(truthful.bundles[MANIPULATOR]))
     best_value = bundle_utility(instance, best_set)
-    best_certificate: AchievabilityCertificate | None = None
+    ranking = instance.profile[MANIPULATOR]
     checks = 0
-    for subset in itertools.combinations(range(m), mu):
-        value = sum(utilities[item] for item in subset)
-        if value < best_value or (value == best_value and subset >= best_set):
-            continue
-        checks += 1
-        certificate = is_achievable(instance, subset)
-        if certificate.achievable:
-            best_set = subset
-            best_value = value
-            best_certificate = certificate
+    if mu:
+        protocol = _Protocol.of(instance)
+        bounds = _completion_bounds(utilities, mu)
+        slack = m - mu
+        last = mu - 1
+        picks = [0] * mu
+        values = [0] * mu  # values[d]: utility of picks[:d]
+        depth = item = 0
+        while True:
+            j = item - depth
+            if j > slack or values[depth] + bounds[depth][j] < best_value:
+                # Bounds shrink as j grows: no later item at this depth helps.
+                if depth == 0:
+                    break
+                depth -= 1
+                item = picks[depth] + 1
+                continue
+            value = values[depth] + utilities[item]
+            picks[depth] = item
+            item += 1
+            if value + bounds[depth + 1][j] < best_value:
+                continue
+            if depth < last:
+                depth += 1
+                values[depth] = value
+                continue
+            if value == best_value and tuple(picks) >= best_set:
+                continue
+            checks += 1
+            secured = _secure(protocol, picks)
+            if secured is not None:
+                best_set = tuple(picks)
+                best_value = value
+                ranking = secured
 
-    if best_certificate is None:
-        ranking = instance.profile[MANIPULATOR]
-    else:
-        ranking = best_certificate.ranking
     elapsed = (time.perf_counter() - start) * 1000.0
     stats = {
         "algorithm": "subset",

@@ -1,14 +1,20 @@
 import itertools
+import json
 import math
+import tracemalloc
 
 import pytest
 
 from conftest import milp_solve, seeded_instances, seeded_targets
 from seqalloc import (
+    GraphInput,
     Instance,
+    ManipulationResult,
     ResourceLimitError,
     build_model,
+    cli,
     export_lp,
+    gen_clique_reduction,
     gen_correlated,
     gen_random,
     is_achievable,
@@ -155,6 +161,141 @@ def test_subset_enum_without_manipulator_turns():
     assert result.optimal_utility == 0
     assert result.bundle == frozenset()
     assert result.stats["subsets_enumerated"] == 1
+
+
+def plain_scan(instance):
+    """Every mu-item set in lexicographic order; public checks; ties to the smallest set."""
+    utilities = instance.utilities
+    mu = instance.manipulator_turns()
+    best_set = tuple(sorted(simulate(instance).bundles[0]))
+    best_value = sum(utilities[item] for item in best_set)
+    ranking = instance.profile[0]
+    checks = 0
+    for subset in itertools.combinations(range(instance.num_items), mu):
+        value = sum(utilities[item] for item in subset)
+        if value < best_value or (value == best_value and subset >= best_set):
+            continue
+        checks += 1
+        certificate = is_achievable(instance, subset)
+        if certificate.achievable:
+            best_set, best_value, ranking = subset, value, certificate.ranking
+    stats = {
+        "algorithm": "subset",
+        "subsets_enumerated": math.comb(instance.num_items, mu),
+        "achievability_checks": checks,
+        "elapsed_ms": 0.0,
+    }
+    return ManipulationResult(best_value, tuple(ranking), frozenset(best_set), stats)
+
+
+def test_subset_enum_matches_plain_scan():
+    """Branch and bound against the scan it prunes: same JSON, checks included.
+
+    Random and correlated instances at m 10-20 (mu the largest turn count
+    keeping C(m, mu) at most 5,000) and both clique gadgets.  Equal
+    ``achievability_checks`` means the bound skipped only sets the scan
+    would not have checked either.
+    """
+    instances = []
+    for index, m in enumerate(range(10, 21)):
+        n = 2 + index % 4
+        mu = max(k for k in range(1, m // 2 + 1) if math.comb(m, k) <= 5_000)
+        for seed in (1, 2):
+            instances.append(gen_random(seed * 100 + m, n, m, mu_manipulator=mu)[0])
+            instances.append(gen_correlated(seed * 100 + m, n, m, 3, mu_manipulator=mu)[0])
+    for edges in (
+        ((1, 2), (1, 3), (2, 3), (3, 4), (4, 5)),
+        ((1, 2), (2, 3), (3, 4), (4, 5), (1, 5)),
+    ):
+        instances.append(gen_clique_reduction(GraphInput(5, edges), 3)[0])
+
+    improved = 0
+    for instance in instances:
+        expected = plain_scan(instance)
+        assert solve_subset_enum(instance).to_json() == expected.to_json(), instance.to_json()
+        improved += expected.ranking != instance.profile[0]
+    assert improved >= 10
+
+
+def test_subset_enum_ties_go_to_the_smallest_set():
+    """Two optima worth 15: {i1, i2} beats the truthful {i3, i5} on the tie.
+
+    Truthfully she takes i5, a2 takes i1, a3 takes i2 (i5 is gone), she
+    takes i3.  Taking i1 first instead sends a2 to i3 and a3 to i5, and
+    she ends with i2.  {i2, i5} (17) is out of reach: whichever of i1 or
+    i5 she leaves, a2 or a3 takes it before her second turn, and then the
+    other takes i2.
+    """
+    instance = Instance(
+        items=["i1", "i2", "i3", "i4", "i5"],
+        agents=["a1", "a2", "a3"],
+        sequence=[0, 1, 2, 0, 2],
+        profile=[[4, 1, 0, 2, 3], [0, 2, 3, 1, 4], [4, 1, 0, 2, 3]],
+        utilities=[7, 8, 6, 1, 9],
+    )
+    assert simulate(instance).bundles[0] == {2, 4}
+    assert is_achievable(instance, {2, 4}).achievable
+    assert not is_achievable(instance, {1, 4}).achievable
+    result = solve_subset_enum(instance)
+    assert result.optimal_utility == solve_bruteforce_rankings(instance).optimal_utility == 15
+    assert result.bundle == {0, 1}
+    assert simulate(instance, result.ranking).bundles[0] == {0, 1}
+
+
+def test_subset_enum_keeps_a_unique_truthful_optimum():
+    """Only the truthful bundle is optimal, so the truthful report comes back.
+
+    a2 takes i2 then i1 before she picks; {i2, i4} (13) is checked and
+    fails, and the truthful {i3, i4} (11) stays.
+    """
+    instance = Instance(
+        items=["i1", "i2", "i3", "i4"],
+        agents=["a1", "a2"],
+        sequence=[1, 1, 0, 0],
+        profile=[[3, 1, 2, 0], [1, 0, 3, 2]],
+        utilities=[1, 6, 4, 7],
+    )
+    result = solve_subset_enum(instance)
+    assert result.optimal_utility == solve_bruteforce_rankings(instance).optimal_utility == 11
+    assert result.bundle == {2, 3}
+    assert result.ranking == instance.profile[0]
+    assert result.stats["achievability_checks"] == 1
+
+
+def test_subset_enum_at_extreme_turn_counts(tmp_path):
+    """mu = m (one agent) and mu = m - 1 (two agents) at 2,000 items.
+
+    Both go through ``solve --algo subset``, which must exit 0 (a
+    RecursionError from a walk as deep as mu would exit 6), and the
+    solve's traced peak must stay far below an m x mu bound table's.
+    Expected values: alone, she takes everything;
+    with one other pick at step t she picks t items first, so she can
+    hand over any of the other agent's top t + 1 items and keeps all
+    but the cheapest of them.
+    """
+    cases = []
+    alone, _ = gen_random(5, 1, 2_000)
+    cases.append((alone, sum(alone.utilities)))
+    pair, _ = gen_random(5, 2, 2_000, mu_manipulator=1_999)
+    step = pair.sequence.index(1)
+    lost = min(pair.utilities[item] for item in pair.profile[1][: step + 1])
+    cases.append((pair, sum(pair.utilities) - lost))
+
+    path = tmp_path / "instance.json"
+    out = tmp_path / "result.json"
+    for instance, expected in cases:
+        path.write_text(instance.to_json(), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            code = cli.main(["solve", "--algo", "subset", "--in", str(path), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert doc["optimal_utility"] == expected
+        assert simulate(instance, doc["ranking"]).bundles[0] == set(doc["bundle"])
+        assert peak < 4_000_000, peak
 
 
 def test_brute_force_regression(running_example, running_example_steep):
