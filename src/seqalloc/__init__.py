@@ -37,7 +37,6 @@ _EXPORTS = {
     "check_state_bounds": "analysis",
     "run_sweep": "analysis",
     "sweep_to_csv": "analysis",
-    "verify_state_invariants": "analysis",
     "MANIPULATOR": "core",
     "Allocation": "core",
     "Instance": "core",

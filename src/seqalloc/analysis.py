@@ -4,8 +4,10 @@ Two proven facts are checked empirically here on every instance thrown
 at the solvers: optimal manipulation earns strictly less than twice the
 truthful utility (whenever that is positive), and the number of
 distinct taken sets in the dynamic program stays under each applicable
-closed-form cap.  Neither can fail on correct code, so a violation
-signals an implementation bug and raises instead of returning quietly.
+closed-form cap.  ``check`` and every sweep row run the same check, on
+whatever solver produced the result.  Neither fact can fail on correct
+code, so a violation signals an implementation bug and raises instead
+of returning quietly; a sweep row reports it as ``internal:<message>``.
 Ratios are exact fractions; no float ever decides a verdict.
 """
 
@@ -24,7 +26,7 @@ from .core import (
     profile_metrics,
     truthful_utility,
 )
-from .dp import StateGraph, solve_dp, state_set_bounds
+from .dp import solve_dp, state_set_bounds
 
 
 class BoundViolationError(RuntimeError):
@@ -39,7 +41,9 @@ class BoundReport(NamedTuple):
     ``bound_ok`` is True on every report, since a violated bound raises
     instead of returning one.  ``bounds``/``slack`` map
     bound names (m_pow, mu, rg_n, rg) to values, None where a bound
-    needs more agents than the instance has.
+    needs more agents than the instance has.  ``states``,
+    ``distinct_sets`` and every slack are None for a solver that builds
+    no state graph.
     """
 
     u_truthful: int
@@ -47,8 +51,8 @@ class BoundReport(NamedTuple):
     ratio: Fraction | None
     bound_ok: bool
     vacuous: bool
-    states: int
-    distinct_sets: int
+    states: int | None
+    distinct_sets: int | None
     bounds: dict
     slack: dict
 
@@ -73,105 +77,49 @@ def check_state_bounds(instance: Instance, **solver_kwargs) -> BoundReport:
     (vacuous at truthful 0), and the distinct taken sets must stay under
     every applicable cap.
     """
-    result = solve_dp(instance, **solver_kwargs)
+    return _proven_facts(instance, solve_dp(instance, **solver_kwargs))
+
+
+def _proven_facts(instance: Instance, result: ManipulationResult) -> BoundReport:
+    """Hold one solver result to both proven facts; raise on either.
+
+    The caps come from the result's stats where the DP reported them, so
+    ``check`` makes no second profile pass, and from the instance
+    otherwise.  A result without ``distinct_sets`` has no count to cap.
+    """
     u_truthful = truthful_utility(instance)
     u_optimal = result.optimal_utility
     vacuous = u_truthful == 0
     if not vacuous and u_optimal >= 2 * u_truthful:
         raise BoundViolationError(f"optimal utility {u_optimal} reaches twice the truthful {u_truthful}")
-    bounds = {
-        "m_pow": result.stats["bound_m_pow"],
-        "mu": result.stats["bound_mu"],
-        "rg_n": result.stats["bound_rg_n"],
-        "rg": result.stats["bound_rg"],
-    }
-    distinct = result.stats["distinct_sets"]
-    for name, cap in bounds.items():
-        if cap is not None and distinct > cap:
-            raise BoundViolationError(f"{distinct} distinct taken sets exceed bound {name} = {cap}")
+    stats = result.stats
+    if "bound_m_pow" in stats:
+        bounds = {name: stats[f"bound_{name}"] for name in ("m_pow", "mu", "rg_n", "rg")}
+    else:
+        bounds = state_set_bounds(
+            instance.num_items,
+            instance.num_agents,
+            instance.manipulator_turns(),
+            profile_metrics(instance).range_max,
+        )
+    distinct = stats.get("distinct_sets")
+    if distinct is not None:
+        for name, cap in bounds.items():
+            if cap is not None and distinct > cap:
+                raise BoundViolationError(f"{distinct} distinct taken sets exceed bound {name} = {cap}")
     return BoundReport(
         u_truthful=u_truthful,
         u_optimal=u_optimal,
         ratio=None if vacuous else Fraction(u_optimal, u_truthful),
         bound_ok=True,
         vacuous=vacuous,
-        states=result.stats["states"],
+        states=stats.get("states"),
         distinct_sets=distinct,
         bounds=bounds,
-        slack={name: None if cap is None else cap - distinct for name, cap in bounds.items()},
+        slack={
+            name: None if cap is None or distinct is None else cap - distinct for name, cap in bounds.items()
+        },
     )
-
-
-def verify_state_invariants(instance: Instance, graph: StateGraph) -> int:
-    """Check the structural invariants of every stored state.
-
-    Each taken set must equal the union, over the non-manipulators, of
-    the ranking prefix strictly above the agent's favourite remaining
-    item; the favourites' ranks may pairwise differ by at most
-    range_max - 1; and every taken item outside the second agent's
-    scanned prefix must sit within 2 * range_max positions below her
-    favourite.  The invariants depend on the taken set alone, so each
-    set is checked once, at the first state over it in id order; that
-    state's banked count k names the set in errors.  Returns the number
-    of states covered (every state); raises BoundViolationError on the
-    first violation.
-    """
-    n = instance.num_agents
-    if n < 2:
-        return 0
-    m = instance.num_items
-    metrics = profile_metrics(instance)
-    range_max = metrics.range_max
-
-    prefix_masks = []
-    for a in range(1, n):
-        masks = [0]
-        for item in instance.profile[a]:
-            masks.append(masks[-1] | 1 << item)
-        prefix_masks.append(masks)
-
-    checked = [False] * len(graph.taken)
-    for banked, sset in zip(graph.banked, graph.set_id):
-        if checked[sset]:
-            continue
-        checked[sset] = True
-        taken = graph.taken[sset]
-        favourites = []
-        union = 0
-        for a in range(1, n):
-            row = instance.profile[a]
-            # Scanned from the mask here, not through core.greedy_pick: this
-            # checks the DP's states, so it must not share the protocol code.
-            pos = 0
-            while pos < m and taken >> row[pos] & 1:
-                pos += 1
-            if pos < m:
-                favourites.append((a, row[pos], pos + 1))
-            union |= prefix_masks[a - 1][pos]
-        if union != taken:
-            raise BoundViolationError(
-                f"state (k={banked}, taken={taken:b}) is not a union of scanned prefixes"
-            )
-        if favourites:
-            ranks = [rank for _, _, rank in favourites]
-            if max(ranks) - min(ranks) > range_max - 1:
-                raise BoundViolationError(
-                    f"favourite ranks {ranks} spread wider than range_max - 1 = {range_max - 1}"
-                )
-            agent, _, rank = favourites[0]
-            scanned = prefix_masks[agent - 1][rank - 1]
-            outside = taken & ~scanned
-            while outside:
-                low = outside & -outside
-                item = low.bit_length() - 1
-                outside ^= low
-                item_rank = metrics.rank[agent][item]
-                if not rank + 1 <= item_rank <= rank + 2 * range_max:
-                    raise BoundViolationError(
-                        f"taken item {item} at rank {item_rank} leaves the window "
-                        f"({rank + 1}..{rank + 2 * range_max}) of agent {agent}"
-                    )
-    return graph.num_states
 
 
 class SweepConfig(NamedTuple):
@@ -295,15 +243,12 @@ def _sweep_row(point: tuple) -> dict:
         if solver is None:
             raise ValueError(f"unknown algorithm {algorithm!r}")
         result = solver(instance)
-        u_truthful = truthful_utility(instance)
-        row["optimal_utility"] = result.optimal_utility
-        row["truthful_utility"] = u_truthful
-        row["ratio"] = str(Fraction(result.optimal_utility, u_truthful)) if u_truthful else None
-        bounds = state_set_bounds(m, n, row["mu_manipulator"], profile_metrics(instance).range_max)
-        row["bound_m_pow"] = bounds["m_pow"]
-        row["bound_mu"] = bounds["mu"]
-        row["bound_rg_n"] = bounds["rg_n"]
-        row["bound_rg"] = bounds["rg"]
+        report = _proven_facts(instance, result)
+        row["optimal_utility"] = report.u_optimal
+        row["truthful_utility"] = report.u_truthful
+        row["ratio"] = None if report.vacuous else str(report.ratio)
+        for name, cap in report.bounds.items():
+            row[f"bound_{name}"] = cap
         for key in ("states", "distinct_sets", "arcs"):
             row[key] = result.stats.get(key)
         row["elapsed_ms"] = result.stats["elapsed_ms"]

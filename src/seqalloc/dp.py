@@ -39,6 +39,7 @@ induction.  Induction and ranking recovery read the same lists.
 from __future__ import annotations
 
 import time
+from typing import NamedTuple
 
 from .core import (
     DEFAULT_MAX_STATES,
@@ -54,7 +55,7 @@ from .core import (
 NONE = -1  # no successor, or no contested item
 
 
-class StateGraph:
+class StateGraph(NamedTuple):
     """Reachable-state graph: a banked layer of states over a set layer.
 
     State lists are indexed by state id.  Ids are handed out in discovery
@@ -73,10 +74,7 @@ class StateGraph:
     NONE where the move does not exist.  The per-picker moves of the set
     layer live only while the build runs.  The graph holds only what the
     build produces; :func:`backward_induction` returns its results.
-    Graphs compare equal field by field.
     """
-
-    __slots__ = ("banked", "set_id", "first", "pick", "item", "order", "taken", "distinct_sets")
 
     banked: list[int]
     set_id: list[int]  # index into taken
@@ -87,21 +85,6 @@ class StateGraph:
     taken: list[int]  # per set id: bitmask over item indices
     distinct_sets: int  # distinct taken sets with items still on the table
 
-    def __init__(self, banked, set_id, first, pick, item, order, taken, distinct_sets):
-        self.banked = banked
-        self.set_id = set_id
-        self.first = first
-        self.pick = pick
-        self.item = item
-        self.order = order
-        self.taken = taken
-        self.distinct_sets = distinct_sets
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
-
     @property
     def num_states(self) -> int:
         return len(self.banked)
@@ -109,19 +92,6 @@ class StateGraph:
     @property
     def num_arcs(self) -> int:
         return 2 * len(self.banked) - self.first.count(NONE) - self.pick.count(NONE)
-
-    def taken_sets(self) -> set[frozenset[int]]:
-        """All distinct taken sets, as item-index sets."""
-        return {_mask_to_set(mask) for mask in self.taken}
-
-
-def _mask_to_set(mask: int) -> frozenset[int]:
-    items = []
-    while mask:
-        low = mask & -mask
-        items.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(items)
 
 
 def build_state_graph(instance: Instance, max_states: int = DEFAULT_MAX_STATES) -> StateGraph:
@@ -292,7 +262,7 @@ def build_state_graph(instance: Instance, max_states: int = DEFAULT_MAX_STATES) 
 
     # The spent position (every item identified) is not a picking position;
     # the closed-form caps count sets where someone can still move, so it
-    # stays out of distinct_sets.  It still appears in taken and taken_sets.
+    # stays out of distinct_sets.  It still appears in taken.
     distinct = len(taken) - ((1 << m) - 1 in taken)
     return StateGraph(banked, set_id, first, pick, item, order, taken, distinct_sets=distinct)
 

@@ -301,6 +301,12 @@ def gen_tight_family(scale: int) -> tuple[Instance, dict]:
     return instance, metadata
 
 
+def _ranking_with_top(top: list[int], m: int) -> list[int]:
+    """The items of ``top`` first, in that order, then the rest by index."""
+    lifted = set(top)
+    return top + [i for i in range(m) if i not in lifted]
+
+
 CLASS_VALUES = {"best": 4, "good": 3, "medium": 2, "worst": 1}
 
 
@@ -350,27 +356,23 @@ def gen_clique_reduction(graph: GraphInput, k: int) -> tuple[Instance, dict]:
     scale = m * m
     utilities = [CLASS_VALUES[classes[i]] * scale - i for i in range(m)]
 
-    def ranking_with_top(top: list[int]) -> list[int]:
-        lifted = set(top)
-        return top + [i for i in range(m) if i not in lifted]
-
     profile = [list(range(m))]
     agents = ["a1"]
     vertex_agent = {}
     for v in range(1, V + 1):
         vertex_agent[v] = len(agents)
         agents.append(f"v{v}")
-        profile.append(ranking_with_top([best[v], medium[v]]))
+        profile.append(_ranking_with_top([best[v], medium[v]], m))
     edge_agent = {}
     for u, v in graph.edges:
         edge_agent[(u, v)] = len(agents)
         agents.append(f"e{u}_{v}")
-        profile.append(ranking_with_top([good[(u, v)], medium[u], medium[v], worst[(u, v)]]))
+        profile.append(_ranking_with_top([good[(u, v)], medium[u], medium[v], worst[(u, v)]], m))
     collectors = []
     for t in range(1, V - k):
         collectors.append(len(agents))
         agents.append(f"c{t}")
-        profile.append(ranking_with_top([medium[v] for v in range(1, V + 1)]))
+        profile.append(_ranking_with_top([medium[v] for v in range(1, V + 1)], m))
 
     sequence = [0] * k
     sequence += [vertex_agent[v] for v in range(1, V + 1)]
@@ -515,10 +517,6 @@ def gen_mcc_reduction(graph: GraphInput, k: int) -> tuple[Instance, dict]:
         start, end = blocks[name]
         return list(range(start, end))
 
-    def ranking_with_top(top: list[int]) -> list[int]:
-        lifted = set(top)
-        return top + [i for i in range(m) if i not in lifted]
-
     profile = [by_frame]
     agents = ["a1"]
     agent_blocks: dict[str, list[str]] = {}
@@ -527,7 +525,7 @@ def gen_mcc_reduction(graph: GraphInput, k: int) -> tuple[Instance, dict]:
         collector[j] = len(agents)
         agents.append(f"c{j}")
         agent_blocks[f"c{j}"] = [f"B{j}", f"Idc{j}", "Z"]
-        profile.append(ranking_with_top(block_items(f"B{j}") + block_items(f"Idc{j}") + block_items("Z")))
+        profile.append(_ranking_with_top(block_items(f"B{j}") + block_items(f"Idc{j}") + block_items("Z"), m))
     pair_agents = []
     for j in range(1, k + 1):
         for r in range(1, k + 1):
@@ -537,17 +535,17 @@ def gen_mcc_reduction(graph: GraphInput, k: int) -> tuple[Instance, dict]:
             agents.append(f"p{j}_{r}")
             block = f"Idp{min(j, r)}_{max(j, r)}"
             agent_blocks[f"p{j}_{r}"] = [f"B{j}", block, "Z"]
-            profile.append(ranking_with_top(block_items(f"B{j}") + block_items(block) + block_items("Z")))
+            profile.append(_ranking_with_top(block_items(f"B{j}") + block_items(block) + block_items("Z"), m))
     closer = {}
     for j in range(1, k + 1):
         closer[j] = len(agents)
         agents.append(f"cbar{j}")
         agent_blocks[f"cbar{j}"] = [f"B{j}", f"Idbar{j}", "Z"]
-        profile.append(ranking_with_top(block_items(f"B{j}") + block_items(f"Idbar{j}") + block_items("Z")))
+        profile.append(_ranking_with_top(block_items(f"B{j}") + block_items(f"Idbar{j}") + block_items("Z"), m))
     dummy = len(agents)
     agents.append("d")
     agent_blocks["d"] = ["D", "Z"]
-    profile.append(ranking_with_top(block_items("D") + block_items("Z")))
+    profile.append(_ranking_with_top(block_items("D") + block_items("Z"), m))
 
     subround = [collector[j] for j in range(1, k + 1)]
     subround += pair_agents

@@ -37,8 +37,8 @@ from seqalloc import (
     solve_subset_enum,
     state_set_bounds,
     truthful_utility,
-    verify_state_invariants,
 )
+from state_checks import taken_sets, verify_state_invariants
 
 TRIANGLE_GRAPH = GraphInput(5, ((1, 2), (1, 3), (2, 3), (3, 4), (4, 5)))
 FIVE_CYCLE = GraphInput(5, ((1, 2), (2, 3), (3, 4), (4, 5), (1, 5)))
@@ -84,7 +84,7 @@ def test_state_graph_exact_sets(running_example):
     graph = build_state_graph(running_example)
     assert graph.num_states == 12
     assert graph.distinct_sets == 6
-    assert graph.taken_sets() == expected
+    assert taken_sets(graph) == expected
     _passed("state-graph")
 
 

@@ -17,8 +17,8 @@ from seqalloc import (
     run_sweep,
     solve_bruteforce_rankings,
     sweep_to_csv,
-    verify_state_invariants,
 )
+from state_checks import verify_state_invariants
 
 
 def two_item_instance(sequence):
@@ -208,6 +208,24 @@ def test_sweep_survives_internal_errors(monkeypatch):
     assert rows[0]["status"] == "internal:internal error: recovered ranking does not replay"
     assert rows[0]["optimal_utility"] is None
     assert rows[1]["status"] == "ok"
+
+
+@pytest.mark.parametrize("fault", ["ratio", "cap"])
+def test_sweep_rows_hold_results_to_both_facts(monkeypatch, fault):
+    """A sweep row breaking either proven fact reads internal, where check would raise."""
+    honest = analysis._SOLVERS["dp"]
+
+    def broken(instance):
+        result = honest(instance)
+        if fault == "ratio":
+            return result._replace(optimal_utility=2 * 8)
+        return result._replace(stats=dict(result.stats, distinct_sets=result.stats["bound_m_pow"] + 1))
+
+    monkeypatch.setitem(analysis._SOLVERS, "dp", broken)
+    (row,) = run_sweep(SweepConfig(agents=(3,), items=(5,)))
+    message = "optimal utility 16 reaches twice the truthful 8" if fault == "ratio" else "26 distinct taken sets exceed bound m_pow = 25"
+    assert row["status"] == f"internal:{message}"
+    assert row["optimal_utility"] is None
 
 
 def test_sweep_reports_unknown_algorithm():

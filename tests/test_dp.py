@@ -12,49 +12,34 @@ from seqalloc import (
     state_set_bounds,
     truthful_utility,
 )
-from seqalloc.core import MANIPULATOR
 from seqalloc.dp import NONE
+from state_checks import assert_set_layer, cursors, taken_sets
 from test_dp_golden import golden_cases
 from test_properties import instances
 
 GOLDEN_CASES = golden_cases()
 
 
-def _state_keys(graph, instance, view):
-    """Each state's key under the (banked, taken set) or the cursor view.
-
-    The cursor view recomputes every non-manipulator's cursor (the
-    position of her favourite item outside the taken set) from the mask.
-    """
-    rows = [row for a, row in enumerate(instance.profile) if a != MANIPULATOR]
-    keys = []
-    for banked, sset in zip(graph.banked, graph.set_id):
-        mask = graph.taken[sset]
-        if view == "item":
-            keys.append((banked, mask))
-        else:
-            cursors = tuple(
-                next((pos for pos, it in enumerate(row) if not mask >> it & 1), len(row))
-                for row in rows
-            )
-            keys.append((banked, cursors))
-    return keys
-
-
 @pytest.mark.parametrize("representation", ["item", "agent"])
 def test_state_graph_regression(running_example, representation):
     """The worked example reaches 12 states over 6 distinct taken sets.
 
-    Under either view the 12 states carry 12 distinct keys: keying by the
-    cursor vector merges no states that the taken sets tell apart.
+    Each state is keyed by (banked, taken set) or, in the agent view, by
+    (banked, cursors), with every non-manipulator's cursor recomputed
+    from the mask.  Under either view the 12 states carry 12 distinct
+    keys: keying by the cursor vector merges no states that the taken
+    sets tell apart.
     """
     graph = build_state_graph(running_example)
-    keys = _state_keys(graph, running_example, representation)
+    masks = [graph.taken[sset] for sset in graph.set_id]
+    if representation == "agent":
+        masks = [cursors(running_example, mask) for mask in masks]
+    keys = list(zip(graph.banked, masks))
     assert len(set(keys)) == len(keys) == 12
     assert graph.num_states == 12
     assert graph.distinct_sets == 6
     assert graph.num_arcs == 11
-    assert graph.taken_sets() == {
+    assert taken_sets(graph) == {
         frozenset(),
         frozenset({2}),
         frozenset({0, 2}),
@@ -179,40 +164,12 @@ def test_order_is_topological(instance):
     _assert_order_contract(build_state_graph(instance))
 
 
-def _assert_set_layer(graph, instance):
-    """Set ids and masks are in bijection, and every state's mask is its own.
-
-    Each state's mask, read through its set id, must equal the union of
-    the ranking prefixes above the non-manipulators' cursors scanned from
-    that mask, and every arc must add exactly its item to the mask.
-    """
-    taken = graph.taken
-    assert len(set(taken)) == len(taken)
-    assert sorted(set(graph.set_id)) == list(range(len(taken)))
-    full = (1 << instance.num_items) - 1
-    assert graph.distinct_sets == len(taken) - (full in taken)
-    rows = [row for a, row in enumerate(instance.profile) if a != MANIPULATOR]
-    for (_, cursors), sset in zip(_state_keys(graph, instance, "agent"), graph.set_id):
-        rebuilt = 0
-        for row, cursor in zip(rows, cursors):
-            for it in row[:cursor]:
-                rebuilt |= 1 << it
-        assert rebuilt == taken[sset], (cursors, taken[sset])
-    for sid, sset in enumerate(graph.set_id):
-        mask = taken[sset]
-        grown = mask | 1 << graph.item[sid] if graph.item[sid] != NONE else mask
-        if graph.first[sid] != NONE:
-            assert taken[graph.set_id[graph.first[sid]]] == grown
-        if graph.pick[sid] != NONE:
-            assert taken[graph.set_id[graph.pick[sid]]] == grown != mask
-
-
 @pytest.mark.parametrize("case", list(GOLDEN_CASES))
 def test_set_layer_is_exact_on_golden_instances(case):
-    _assert_set_layer(build_state_graph(GOLDEN_CASES[case]), GOLDEN_CASES[case])
+    assert_set_layer(build_state_graph(GOLDEN_CASES[case]), GOLDEN_CASES[case])
 
 
 @settings(max_examples=150, deadline=None)
 @given(instances(max_agents=4, max_items=8))
 def test_set_layer_is_exact(instance):
-    _assert_set_layer(build_state_graph(instance), instance)
+    assert_set_layer(build_state_graph(instance), instance)

@@ -32,6 +32,7 @@ from seqalloc import (
     gen_tight_family,
     solve_dp,
 )
+from state_checks import taken_sets
 
 GOLDEN_PATH = Path(__file__).with_name("dp_golden.json")
 
@@ -57,7 +58,7 @@ def golden_cases() -> dict:
 def snapshot(instance) -> dict:
     """Everything the solver reports, plus a digest of the reachable sets."""
     graph = build_state_graph(instance)
-    sets = sorted(sorted(taken) for taken in graph.taken_sets())
+    sets = sorted(sorted(taken) for taken in taken_sets(graph))
     return {
         "result": json.loads(solve_dp(instance).to_json()),
         "graph": [graph.num_states, graph.distinct_sets, graph.num_arcs],

@@ -21,8 +21,8 @@ from seqalloc import (
     solve_bruteforce_rankings,
     solve_dp,
     truthful_utility,
-    verify_state_invariants,
 )
+from state_checks import verify_state_invariants
 
 
 @st.composite
