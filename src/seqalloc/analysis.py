@@ -5,9 +5,11 @@ at the solvers: optimal manipulation earns strictly less than twice the
 truthful utility (whenever that is positive), and the number of
 distinct taken sets in the dynamic program stays under each applicable
 closed-form cap.  ``check`` and every sweep row run the same check, on
-whatever solver produced the result.  Neither fact can fail on correct
-code, so a violation signals an implementation bug and raises instead
-of returning quietly; a sweep row reports it as ``internal:<message>``.
+whatever solver produced the result, and for every solver the caps come
+from the instance alone through :func:`~seqalloc.dp.state_set_bounds`.
+Neither fact can fail on correct code, so a violation signals an
+implementation bug and raises instead of returning quietly; a sweep row
+reports it as ``internal:<message>``.
 Ratios are exact fractions; no float ever decides a verdict.
 """
 
@@ -23,7 +25,6 @@ from .core import (
     InvalidInstanceError,
     ManipulationResult,
     ResourceLimitError,
-    profile_metrics,
     truthful_utility,
 )
 from .dp import solve_dp, state_set_bounds
@@ -57,17 +58,9 @@ class BoundReport(NamedTuple):
     slack: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "u_truthful": self.u_truthful,
-            "u_optimal": self.u_optimal,
-            "ratio": str(self.ratio) if self.ratio is not None else None,
-            "bound_ok": self.bound_ok,
-            "vacuous": self.vacuous,
-            "states": self.states,
-            "distinct_sets": self.distinct_sets,
-            "bounds": dict(self.bounds),
-            "slack": dict(self.slack),
-        }
+        doc = self._asdict()
+        doc["ratio"] = None if self.ratio is None else str(self.ratio)
+        return doc
 
 
 def check_state_bounds(instance: Instance, **solver_kwargs) -> BoundReport:
@@ -83,9 +76,9 @@ def check_state_bounds(instance: Instance, **solver_kwargs) -> BoundReport:
 def _proven_facts(instance: Instance, result: ManipulationResult) -> BoundReport:
     """Hold one solver result to both proven facts; raise on either.
 
-    The caps come from the result's stats where the DP reported them, so
-    ``check`` makes no second profile pass, and from the instance
-    otherwise.  A result without ``distinct_sets`` has no count to cap.
+    The caps come from the instance through :func:`state_set_bounds`,
+    whichever solver produced the result.  A result without
+    ``distinct_sets`` has no count to cap.
     """
     u_truthful = truthful_utility(instance)
     u_optimal = result.optimal_utility
@@ -93,15 +86,7 @@ def _proven_facts(instance: Instance, result: ManipulationResult) -> BoundReport
     if not vacuous and u_optimal >= 2 * u_truthful:
         raise BoundViolationError(f"optimal utility {u_optimal} reaches twice the truthful {u_truthful}")
     stats = result.stats
-    if "bound_m_pow" in stats:
-        bounds = {name: stats[f"bound_{name}"] for name in ("m_pow", "mu", "rg_n", "rg")}
-    else:
-        bounds = state_set_bounds(
-            instance.num_items,
-            instance.num_agents,
-            instance.manipulator_turns(),
-            profile_metrics(instance).range_max,
-        )
+    bounds = state_set_bounds(instance)
     distinct = stats.get("distinct_sets")
     if distinct is not None:
         for name, cap in bounds.items():
@@ -198,10 +183,7 @@ SWEEP_COLUMNS = [
     "states",
     "distinct_sets",
     "arcs",
-    "bound_m_pow",
-    "bound_mu",
-    "bound_rg_n",
-    "bound_rg",
+    *(f"bound_{name}" for name in ("m_pow", "mu", "rg_n", "rg")),
     "elapsed_ms",
 ]
 

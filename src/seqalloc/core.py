@@ -62,7 +62,39 @@ class ResourceLimitError(RuntimeError):
     """A solver or builder exceeded one of its configured budgets."""
 
 
-class Instance:
+class _Record:
+    """Immutable record whose fields are the subclass's ``__slots__``.
+
+    ``__init__`` sets each field once through ``object.__setattr__``;
+    afterwards assignment and deletion raise.  Records compare, hash and
+    print field by field, in slot order.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: {type(self).__name__} is immutable")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Instance(_Record):
     """One sequential allocation instance.
 
     ``sequence[t]`` is the agent picking at time step t (0-based here;
@@ -87,29 +119,6 @@ class Instance:
         object.__setattr__(self, "profile", tuple(tuple(row) for row in profile))
         object.__setattr__(self, "utilities", tuple(utilities))
         _check_instance(self)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}: Instance is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}: Instance is immutable")
-
-    def _key(self) -> tuple:
-        return (self.items, self.agents, self.sequence, self.profile, self.utilities)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (
-            f"Instance(items={self.items!r}, agents={self.agents!r}, sequence={self.sequence!r}, "
-            f"profile={self.profile!r}, utilities={self.utilities!r})"
-        )
 
     @property
     def num_items(self) -> int:
@@ -294,39 +303,34 @@ def truthful_utility(instance: Instance) -> int:
 
 
 class ProfileMetrics(NamedTuple):
-    """Positional summary of a preference profile.
+    """Positional summary of a preference profile: the paper's rg^max.
 
-    ``rank[a][i]`` is item i's 1-based rank in agent a's ranking.
     ``range_max`` is the largest number of positions an item spans
-    across the non-manipulators' rankings; with a single agent there
-    are none, which it signals with None.
+    across the non-manipulators' rankings, its last position minus its
+    first plus one; with a single agent there are none, which it
+    signals with None.  The state-set caps of
+    :func:`seqalloc.dp.state_set_bounds` read it.
     """
 
-    rank: tuple[tuple[int, ...], ...]
     range_max: int | None
 
 
 def profile_metrics(instance: Instance) -> ProfileMetrics:
-    m = instance.num_items
-    n = instance.num_agents
-
-    rank = tuple(_rank_of_row(row, m) for row in instance.profile)
-
-    range_max: int | None = None
-    if n >= 2:
-        spans = []
-        for item in range(m):
-            positions = [rank[a][item] for a in range(1, n)]
-            spans.append(max(positions) - min(positions) + 1)
-        range_max = max(spans)
-    return ProfileMetrics(rank=rank, range_max=range_max)
-
-
-def _rank_of_row(row: Sequence[int], m: int) -> tuple[int, ...]:
-    rank = [0] * m
-    for pos, item in enumerate(row, start=1):
-        rank[item] = pos
-    return tuple(rank)
+    others = instance.profile[1:]  # the non-manipulators' rankings
+    if not others:
+        return ProfileMetrics(range_max=None)
+    # Lowest and highest position of each item across the other agents.
+    low = [0] * instance.num_items
+    for pos, item in enumerate(others[0]):
+        low[item] = pos
+    high = low.copy()
+    for row in others[1:]:
+        for pos, item in enumerate(row):
+            if pos < low[item]:
+                low[item] = pos
+            elif pos > high[item]:
+                high[item] = pos
+    return ProfileMetrics(range_max=max(top - bottom for top, bottom in zip(high, low)) + 1)
 
 
 class ManipulationResult(NamedTuple):

@@ -330,17 +330,21 @@ def _recover_ranking(
     return ranking, frozenset(mine)
 
 
-def state_set_bounds(m: int, n: int, mu_manipulator: int, range_max: int | None) -> dict:
+def state_set_bounds(instance: Instance) -> dict:
     """The four proven caps on the number of distinct taken sets.
 
-    Keys follow the stats report: ``m_pow`` is m**(n-1), ``mu`` is
-    m*(mu+1)**(n-1), ``rg_n`` is m*(2*rg)**(n-2) (needs at least three
-    agents), ``rg`` is m*4**rg (needs a second agent for rg to exist).
-    Inapplicable bounds are None.
+    With m items, n agents, mu manipulator turns and rg the profile's
+    range_max, the keys follow the stats report: ``m_pow`` is m**(n-1),
+    ``mu`` is m*(mu+1)**(n-1), ``rg_n`` is m*(2*rg)**(n-2) (needs at
+    least three agents), ``rg`` is m*4**rg (needs a second agent for rg
+    to exist).  Inapplicable bounds are None.
     """
+    m = instance.num_items
+    n = instance.num_agents
+    range_max = profile_metrics(instance).range_max
     bounds: dict = {
         "m_pow": m ** (n - 1),
-        "mu": m * (mu_manipulator + 1) ** (n - 1),
+        "mu": m * (instance.manipulator_turns() + 1) ** (n - 1),
         "rg_n": None,
         "rg": None,
     }
@@ -367,22 +371,12 @@ def solve_dp(instance: Instance, max_states: int = DEFAULT_MAX_STATES) -> Manipu
     if replay.bundles[MANIPULATOR] != bundle or bundle_utility(instance, bundle) != value:
         raise RuntimeError("internal error: recovered ranking does not replay to the computed optimum")
 
-    bounds = state_set_bounds(
-        instance.num_items,
-        instance.num_agents,
-        instance.manipulator_turns(),
-        profile_metrics(instance).range_max,
-    )
-    elapsed = (time.perf_counter() - start) * 1000.0
     stats = {
         "algorithm": "dp",
         "states": graph.num_states,
         "distinct_sets": graph.distinct_sets,
         "arcs": graph.num_arcs,
-        "bound_m_pow": bounds["m_pow"],
-        "bound_mu": bounds["mu"],
-        "bound_rg_n": bounds["rg_n"],
-        "bound_rg": bounds["rg"],
-        "elapsed_ms": elapsed,
     }
+    stats.update((f"bound_{name}", cap) for name, cap in state_set_bounds(instance).items())
+    stats["elapsed_ms"] = (time.perf_counter() - start) * 1000.0
     return ManipulationResult(optimal_utility=value, ranking=ranking, bundle=bundle, stats=stats)

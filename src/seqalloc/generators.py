@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .core import Instance, ResourceLimitError, profile_metrics
+from .core import Instance, ResourceLimitError, _Record, profile_metrics
 from .rng import SplitMix64, stream
 
 # Cap on agents x items for every generated instance, checked before any
@@ -46,7 +46,7 @@ def _check_size(agents: int, items: int) -> None:
         )
 
 
-class GraphInput:
+class GraphInput(_Record):
     """A simple undirected graph, vertices 1..num_vertices.
 
     Edges are normalized to (low, high) and sorted; loops and duplicate
@@ -83,26 +83,6 @@ class GraphInput:
         object.__setattr__(self, "num_vertices", num_vertices)
         object.__setattr__(self, "edges", tuple(sorted(normalized)))
         object.__setattr__(self, "coloring", coloring)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}: GraphInput is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}: GraphInput is immutable")
-
-    def _key(self) -> tuple:
-        return (self.num_vertices, self.edges, self.coloring)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"GraphInput(num_vertices={self.num_vertices!r}, edges={self.edges!r}, coloring={self.coloring!r})"
 
 
 def parse_graph(text: str) -> GraphInput:
@@ -358,26 +338,22 @@ def gen_clique_reduction(graph: GraphInput, k: int) -> tuple[Instance, dict]:
 
     profile = [list(range(m))]
     agents = ["a1"]
-    vertex_agent = {}
-    for v in range(1, V + 1):
-        vertex_agent[v] = len(agents)
-        agents.append(f"v{v}")
-        profile.append(_ranking_with_top([best[v], medium[v]], m))
-    edge_agent = {}
-    for u, v in graph.edges:
-        edge_agent[(u, v)] = len(agents)
-        agents.append(f"e{u}_{v}")
-        profile.append(_ranking_with_top([good[(u, v)], medium[u], medium[v], worst[(u, v)]], m))
-    collectors = []
-    for t in range(1, V - k):
-        collectors.append(len(agents))
-        agents.append(f"c{t}")
-        profile.append(_ranking_with_top([medium[v] for v in range(1, V + 1)], m))
+
+    def add_agent(name: str, top: list[int]) -> int:
+        agents.append(name)
+        profile.append(_ranking_with_top(top, m))
+        return len(agents) - 1
+
+    vertex_agents = [add_agent(f"v{v}", [best[v], medium[v]]) for v in range(1, V + 1)]
+    edge_agents = [
+        add_agent(f"e{u}_{v}", [good[(u, v)], medium[u], medium[v], worst[(u, v)]]) for u, v in graph.edges
+    ]
+    collectors = [add_agent(f"c{t}", [medium[v] for v in range(1, V + 1)]) for t in range(1, V - k)]
 
     sequence = [0] * k
-    sequence += [vertex_agent[v] for v in range(1, V + 1)]
+    sequence += vertex_agents
     sequence += [0] * (k * (k - 1) // 2)
-    sequence += [edge_agent[edge] for edge in graph.edges]
+    sequence += edge_agents
     sequence += collectors
     sequence += [0]
     leftovers = E - k * (k - 1) // 2
@@ -513,43 +489,28 @@ def gen_mcc_reduction(graph: GraphInput, k: int) -> tuple[Instance, dict]:
     for pos, item in enumerate(by_frame):
         utilities[item] = (proof_frame[item] + shift) * m + (m - 1 - pos)
 
-    def block_items(name: str) -> list[int]:
-        start, end = blocks[name]
-        return list(range(start, end))
-
     profile = [by_frame]
     agents = ["a1"]
     agent_blocks: dict[str, list[str]] = {}
-    collector = {}
-    for j in range(1, k + 1):
-        collector[j] = len(agents)
-        agents.append(f"c{j}")
-        agent_blocks[f"c{j}"] = [f"B{j}", f"Idc{j}", "Z"]
-        profile.append(_ranking_with_top(block_items(f"B{j}") + block_items(f"Idc{j}") + block_items("Z"), m))
-    pair_agents = []
-    for j in range(1, k + 1):
-        for r in range(1, k + 1):
-            if j == r:
-                continue
-            pair_agents.append(len(agents))
-            agents.append(f"p{j}_{r}")
-            block = f"Idp{min(j, r)}_{max(j, r)}"
-            agent_blocks[f"p{j}_{r}"] = [f"B{j}", block, "Z"]
-            profile.append(_ranking_with_top(block_items(f"B{j}") + block_items(block) + block_items("Z"), m))
-    closer = {}
-    for j in range(1, k + 1):
-        closer[j] = len(agents)
-        agents.append(f"cbar{j}")
-        agent_blocks[f"cbar{j}"] = [f"B{j}", f"Idbar{j}", "Z"]
-        profile.append(_ranking_with_top(block_items(f"B{j}") + block_items(f"Idbar{j}") + block_items("Z"), m))
-    dummy = len(agents)
-    agents.append("d")
-    agent_blocks["d"] = ["D", "Z"]
-    profile.append(_ranking_with_top(block_items("D") + block_items("Z"), m))
 
-    subround = [collector[j] for j in range(1, k + 1)]
-    subround += pair_agents
-    subround += [closer[j] for j in range(1, k + 1)]
+    def add_agent(name: str, names: list[str]) -> int:
+        """Append an agent who ranks the named blocks first, in order."""
+        agent_blocks[name] = names
+        agents.append(name)
+        profile.append(_ranking_with_top([i for block in names for i in range(*blocks[block])], m))
+        return len(agents) - 1
+
+    collectors = [add_agent(f"c{j}", [f"B{j}", f"Idc{j}", "Z"]) for j in range(1, k + 1)]
+    pair_agents = [
+        add_agent(f"p{j}_{r}", [f"B{j}", f"Idp{min(j, r)}_{max(j, r)}", "Z"])
+        for j in range(1, k + 1)
+        for r in range(1, k + 1)
+        if j != r
+    ]
+    closers = [add_agent(f"cbar{j}", [f"B{j}", f"Idbar{j}", "Z"]) for j in range(1, k + 1)]
+    dummy = add_agent("d", ["D", "Z"])
+
+    subround = collectors + pair_agents + closers
     sequence = [0] * (k * (k + 1) * idn)
     sequence += subround * idn
     sequence += [dummy] * (k * (k + 1) * idn)

@@ -29,7 +29,6 @@ from seqalloc import (
     gen_random,
     gen_tight_family,
     is_achievable,
-    profile_metrics,
     sidon_table,
     simulate,
     solve_bruteforce_rankings,
@@ -145,14 +144,7 @@ def test_state_counts_and_invariants():
         instances.append(gen_correlated(seed, 5, 20, 3)[0])
     for instance in instances:
         graph = build_state_graph(instance)
-        metrics = profile_metrics(instance)
-        bounds = state_set_bounds(
-            instance.num_items,
-            instance.num_agents,
-            instance.manipulator_turns(),
-            metrics.range_max,
-        )
-        for name, cap in bounds.items():
+        for name, cap in state_set_bounds(instance).items():
             if cap is not None:
                 assert graph.distinct_sets <= cap, (name, cap, graph.distinct_sets)
         checked = verify_state_invariants(instance, graph)

@@ -3,9 +3,12 @@ import json
 import pytest
 
 from seqalloc import (
+    GraphInput,
     Instance,
     InvalidInstanceError,
     bundle_utility,
+    gen_correlated,
+    gen_random,
     profile_metrics,
     simulate,
     truthful_utility,
@@ -99,10 +102,25 @@ def test_zero_utility_is_allowed(running_example):
 
 
 def test_profile_metrics(running_example):
-    metrics = profile_metrics(running_example)
-    assert metrics.rank[0] == (1, 2, 3, 4)
-    assert metrics.rank[1] == (3, 4, 1, 2)
-    assert metrics.range_max == 3
+    # range_max is the one field: item i1 sits at positions 3 and 1.
+    assert profile_metrics(running_example) == (3,)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_range_max_matches_its_definition(n):
+    """range_max is the max over items of (max rank - min rank + 1) across agents 1..n-1."""
+    for seed in range(1, 13):
+        m = 1 + seed
+        random_instance, _ = gen_random(seed, n, m)
+        correlated, _ = gen_correlated(seed, n, m, 1 + seed % m)
+        for instance in (random_instance, correlated):
+            ranks = [{item: pos for pos, item in enumerate(row, start=1)} for row in instance.profile[1:]]
+            expected = None
+            if ranks:
+                expected = max(
+                    max(rank[item] for rank in ranks) - min(rank[item] for rank in ranks) + 1 for item in range(m)
+                )
+            assert profile_metrics(instance).range_max == expected
 
 
 def test_profile_metrics_identical_rankings():
@@ -155,3 +173,54 @@ def test_allocation_json_dict(running_example):
     doc = simulate(running_example).to_json_dict()
     assert doc["bundles"] == [[0, 3], [2], [1]]
     assert doc["pick_log"][0] == [1, 0, 0]
+
+
+RECORDS = {
+    "Instance": (
+        lambda: Instance(
+            items=["x", "y"], agents=["a1", "a2"], sequence=[0, 1], profile=[[0, 1], [1, 0]], utilities=[2, 1]
+        ),
+        "Instance(items=('x', 'y'), agents=('a1', 'a2'), sequence=(0, 1), profile=((0, 1), (1, 0)), "
+        "utilities=(2, 1))",
+    ),
+    "GraphInput": (
+        lambda: GraphInput(3, [(2, 1), (3, 1)], coloring=[1, 2, 2]),
+        "GraphInput(num_vertices=3, edges=((1, 2), (1, 3)), coloring=(1, 2, 2))",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_immutable_value_objects(name):
+    """Instance and GraphInput: frozen fields, field-wise equality and hash, fixed repr."""
+    make, text = RECORDS[name]
+    record, twin = make(), make()
+    fields = type(record).__slots__
+    assert record is not twin
+    assert record == twin
+    assert hash(record) == hash(twin) == hash(tuple(getattr(record, field) for field in fields))
+    assert repr(record) == text
+    assert record.__eq__(object()) is NotImplemented
+    assert record != text
+    other_kind = "GraphInput" if name == "Instance" else "Instance"
+    assert record.__eq__(RECORDS[other_kind][0]()) is NotImplemented
+    for field in (*fields, "extra"):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}': {name} is immutable$"):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{field}': {name} is immutable$"):
+            delattr(record, field)
+    assert record == twin
+
+
+def test_records_differ_when_one_field_differs():
+    instance = RECORDS["Instance"][0]()
+    assert instance != Instance(
+        items=["x", "z"], agents=["a1", "a2"], sequence=[0, 1], profile=[[0, 1], [1, 0]], utilities=[2, 1]
+    )
+    assert instance != Instance(
+        items=["x", "y"], agents=["a1", "a2"], sequence=[0, 1], profile=[[0, 1], [1, 0]], utilities=[3, 1]
+    )
+    graph = RECORDS["GraphInput"][0]()
+    assert graph != GraphInput(3, [(1, 2), (1, 3)])
+    assert graph != GraphInput(3, [(1, 2), (2, 3)], coloring=[1, 2, 2])
+    assert graph != GraphInput(4, [(1, 2), (1, 3)], coloring=[1, 2, 2, 2])

@@ -113,10 +113,27 @@ def test_stats_carry_state_bounds(running_example):
     assert stats["bound_rg"] == 256
 
 
-def test_state_set_bounds_applicability():
-    assert state_set_bounds(5, 1, 5, None) == {"m_pow": 1, "mu": 5, "rg_n": None, "rg": None}
-    assert state_set_bounds(4, 2, 1, 2) == {"m_pow": 4, "mu": 8, "rg_n": None, "rg": 64}
-    assert state_set_bounds(4, 3, 2, 3)["rg_n"] == 4 * 6
+def test_state_set_bounds_applicability(running_example):
+    """rg needs a second agent and rg_n a third; the instance fixes m, n, mu and rg."""
+    alone = Instance(
+        items=["i1", "i2", "i3", "i4", "i5"],
+        agents=["a1"],
+        sequence=[0] * 5,
+        profile=[[0, 1, 2, 3, 4]],
+        utilities=[5, 4, 3, 2, 1],
+    )
+    assert state_set_bounds(alone) == {"m_pow": 1, "mu": 5, "rg_n": None, "rg": None}
+    # One other agent: every item spans one position, so rg is 1.
+    pair = Instance(
+        items=["i1", "i2", "i3", "i4"],
+        agents=["a1", "a2"],
+        sequence=[1, 0, 1, 1],
+        profile=[[0, 1, 2, 3], [3, 1, 0, 2]],
+        utilities=[4, 3, 2, 1],
+    )
+    assert state_set_bounds(pair) == {"m_pow": 4, "mu": 8, "rg_n": None, "rg": 16}
+    # m 4, n 3, mu 2, rg 3.
+    assert state_set_bounds(running_example) == {"m_pow": 16, "mu": 36, "rg_n": 4 * 6, "rg": 256}
 
 
 def test_matches_brute_force_on_random_instances():
