@@ -21,24 +21,29 @@ every reachable S equals the union of the prefixes that the other agents
 have scanned past, which caps the number of distinct sets well below
 2^m (see :func:`state_set_bounds` for the implemented caps).
 
-The same observation gives the graph its two layers.  On reachable
-states S is fixed by each non-manipulator's cursor, the position of her
-favourite remaining item in her ranking, so one int packing the cursor
-vector identifies S.  The set layer gives each distinct cursor key a set
-id when it is first reached and stores the set's bitmask once.  A
-non-manipulator's move, the item she takes and the successor set,
-depends on her and S alone, not on k, so it is computed at most once
-per (picker, set id) and kept in flat per-picker lists; a claim or pick
-of item b advances only the cursors that pointed at b.  The banked
-layer holds the states: each carries k, its set id and its arcs, in
-flat parallel lists indexed by state id.  A state's id is fixed when it
-is first discovered; a separate processing order drives backward
-induction.  Induction and ranking recovery read the same lists.
+The graph is stored and solved set-major.  A state is a set plus a
+banked count, so each distinct taken set carries one int, the bitmask of
+its reachable k.  Slots stay within a set, and claims and picks lead to
+sets one item larger, so the sets are expanded in order of size, each
+only once every arc into it is known.  On a set of size s the picker of
+state k is the one at position s + k of the sequence: per size, one
+mask per agent marks her positions, shifted down by s.  Slots close the
+reachable mask with one carry, and a non-manipulator's move applies at
+once to every k at which she picks: her favourite remaining item b
+depends on S alone, and the successor S + b gains the same k (picks)
+and k - 1 (claims).  Each set keeps one rank-order mask per
+non-manipulator, the positions of her ranking already taken, so her
+favourite is the lowest unset position; these masks are built only when
+a move reaches a new set, and dropped once its size is expanded.
+Induction solves the sets in reverse id order and records, per set, the
+k at which claiming wins; ranking recovery walks those bits from the
+start.
 """
 
 from __future__ import annotations
 
 import time
+from operator import or_
 from typing import NamedTuple
 
 from .core import (
@@ -52,262 +57,170 @@ from .core import (
     simulate,
 )
 
-NONE = -1  # no successor, or no contested item
-
 
 class StateGraph(NamedTuple):
-    """Reachable-state graph: a banked layer of states over a set layer.
+    """Reachable-state graph, stored per distinct taken set.
 
-    State lists are indexed by state id.  Ids are handed out in discovery
-    order, so state 0 is the start (0, empty set), but a successor may
-    have a smaller id than its state.  ``order`` lists the ids in
-    processing order: level by level (level = picks so far), within a
-    level by decreasing banked count, then in discovery order.  Every
-    successor comes later in ``order`` than its state, so one sweep over
-    ``reversed(order)`` computes values.
-
-    ``set_id[s]`` indexes ``taken``, which holds each distinct taken set
-    once, as a bitmask, in the order the sets were first reached.
-    ``first[s]`` is the slot successor on the manipulator's turns and the
-    claim successor otherwise, ``pick[s]`` the pick successor and
-    ``item[s]`` the item a non-manipulator is about to take; each is
-    NONE where the move does not exist.  The per-picker moves of the set
-    layer live only while the build runs.  The graph holds only what the
-    build produces; :func:`backward_induction` returns its results.
+    Lists are indexed by set id.  Ids are handed out in order of set
+    size, and within a size in the order the sets were first reached, so
+    set 0 is the empty set and every move leads to a later id.
+    ``taken[i]`` is the set as a bitmask over item indices and
+    ``banked[i]`` has bit k set when the state (k, set i) is reachable.
+    ``moves[i]`` lists one (ks, successor, item) triple per
+    non-manipulator who moves from set i: ``ks`` masks the reachable k at
+    which she is the next picker, ``item`` is her favourite remaining
+    item and ``successor`` the id of set i plus that item.  Each k in
+    ``ks`` has a pick arc to (k, successor), and a claim arc to
+    (k - 1, successor) when k > 0.  Every other reachable k has a slot
+    arc to (k + 1, set i), unless all m picks are made.
     """
 
+    taken: list[int]
     banked: list[int]
-    set_id: list[int]  # index into taken
-    first: list[int]
-    pick: list[int]
-    item: list[int]
-    order: list[int]  # every id once, successors after their states
-    taken: list[int]  # per set id: bitmask over item indices
+    moves: list[tuple[tuple[int, int, int], ...]]
+    num_states: int
+    num_arcs: int
     distinct_sets: int  # distinct taken sets with items still on the table
-
-    @property
-    def num_states(self) -> int:
-        return len(self.banked)
-
-    @property
-    def num_arcs(self) -> int:
-        return 2 * len(self.banked) - self.first.count(NONE) - self.pick.count(NONE)
 
 
 def build_state_graph(instance: Instance, max_states: int = DEFAULT_MAX_STATES) -> StateGraph:
     """Expand every reachable state from (0, empty set).
 
-    ``max_states`` caps the number of states created; the error says how
-    far the expansion got.
+    ``max_states`` caps the number of states.  Each set's count is
+    checked before the set is expanded, and the error says how far the
+    expansion got and what the proven caps allow.
     """
     m = instance.num_items
-    sequence = instance.sequence
     mu = instance.manipulator_turns()
-    width = m.bit_length()  # a cursor runs from 0 to m (exhausted)
-    field = (1 << width) - 1
-    # Per non-manipulator: key shift, ranking and the bit of each ranked
-    # item; a sentinel past the end stops every scan at cursor m.
-    agents = [
-        (width * (a - 1), row + (NONE,), [1 << item for item in row] + [0])
-        for a, row in enumerate(instance.profile)
-        if a != MANIPULATOR
-    ]
+    window = (1 << mu + 1) - 1  # banked counts 0..mu
+    turns = [0] * instance.num_agents  # bit i: the agent picks at position i
+    for position, agent in enumerate(instance.sequence):
+        turns[agent] |= 1 << position
+    others = [(turns[a], row) for a, row in enumerate(instance.profile) if a != MANIPULATOR]
+    rank_bits: list[list[int]] = [[] for _ in range(m)]  # per item, its bit in each rank mask
+    for _, row in others:
+        for rank, item in enumerate(row):
+            rank_bits[item].append(1 << rank)
 
-    # Set layer.  ``taken`` holds each set's mask by set id.  ``set_ids``
-    # maps set size -> {cursor key: set id}; a set of size s is looked up
-    # only while levels s - 1 .. s + mu - 1 are expanded, and expanded only
-    # at levels s .. s + mu, so its lookup dict is dropped at level s + mu.
-    # ``keys`` holds each set's cursor key and ``moves``, per
-    # non-manipulator, the successor set id and the item she takes, NONE
-    # until first needed.  Both are indexed by set id - ``base`` and lose
-    # their prefix as sets fall behind: every set first reached before
-    # level L - mu - 1 has fewer than L - mu items, so no level from L on
-    # expands it.
     taken = [0]
-    set_ids: dict[int, dict[int, int]] = {0: {0: 0}}
-    keys = [0]
-    moves = [([], []) for _ in agents]
-    base = 0
-    level_start: list[int] = []  # first set id reached at each level
-
-    # Banked layer.  Every list gets its entry when a state is discovered,
-    # so each arc is written once, with its final id.  The buckets of the
-    # level being expanded and of the next one map banked count -> {set
-    # id: state id}; ``order`` lists the ids bucket by bucket as they are
-    # expanded, which is the processing order.
-    banked = [0]
-    set_id = [0]
-    first = [NONE]
-    pick = [NONE]
-    item = [NONE]
-    order: list[int] = []
-    buckets: dict[int, dict[int, int]] = {0: {0: 0}}
-
-    def over_cap() -> ResourceLimitError:
-        return ResourceLimitError(
-            f"state graph exceeds max_states={max_states} at level {level} of {m} "
-            f"({len(banked)} states created)"
-        )
-
-    for level in range(m + 1):
-        level_start.append(len(taken))
-        set_ids.pop(level - mu, None)
-        if level > mu:
-            dead = level_start[level - mu - 1] - base
-            base += dead
-            del keys[:dead]
-            for column in moves:
-                del column[0][:dead], column[1][:dead]
-        picker = sequence[level] if level < m else MANIPULATOR  # level m expands nothing
-        if picker != MANIPULATOR:
-            shift, row, _ = agents[picker - 1]
-            # Sets reached during this level are appended to the picker's
-            # columns as they appear, since a claim successor is expanded
-            # at the same level.
-            succ_sets, favs = moves[picker - 1]
-            missing = len(taken) - base - len(succ_sets)
-            succ_sets.extend([NONE] * missing)
-            favs.extend([NONE] * missing)
-        upcoming: dict[int, dict[int, int]] = {}
-        for k in range(min(level, mu), -1, -1):
-            bucket = buckets.get(k)
-            if bucket is None:
-                continue
-            order.extend(bucket.values())
-            if level == m:
-                continue
-            if picker == MANIPULATOR:
-                # Only this bucket feeds (level + 1, k + 1), and set ids are
-                # unique within it, so every slot successor is new.
-                target = upcoming[k + 1] = {}
-                for sset, sid in bucket.items():
-                    succ = len(banked)
-                    if succ >= max_states:
-                        raise over_cap()
-                    target[sset] = first[sid] = succ
-                    banked.append(k + 1)
-                    set_id.append(sset)
-                    first.append(NONE)
-                    pick.append(NONE)
-                    item.append(NONE)
-                continue
-
-            # Every set in this bucket has level - k items.
-            grown = set_ids.get(level - k + 1)
-            if grown is None:
-                grown = set_ids[level - k + 1] = {}
-            target = upcoming[k] = {}
-            if k:
-                # The claim bucket (level, k - 1) is expanded right after
-                # this one, so its new states land there in time.
-                claims = buckets.get(k - 1)
-                if claims is None:
-                    claims = buckets[k - 1] = {}
-            for sset, sid in bucket.items():
-                slot = sset - base
-                succ_set = succ_sets[slot]
-                if succ_set == NONE:
-                    key = keys[slot]
-                    fav = row[key >> shift & field]
-                    new_mask = taken[sset] | 1 << fav
-                    new_key = key
-                    # Inline bitmask scan rather than core.greedy_pick: this
-                    # is the hot loop of the build, and it moves several
-                    # cursors.
-                    for agent_shift, ranking, bits in agents:
-                        cursor = key >> agent_shift & field
-                        if ranking[cursor] == fav:
-                            moved = cursor + 1
-                            while new_mask & bits[moved]:
-                                moved += 1
-                            new_key += moved - cursor << agent_shift
-                    succ_set = grown.get(new_key)
-                    if succ_set is None:
-                        succ_set = grown[new_key] = len(taken)
-                        keys.append(new_key)
-                        taken.append(new_mask)
-                        succ_sets.append(NONE)
-                        favs.append(NONE)
-                    succ_sets[slot] = succ_set
-                    favs[slot] = fav
-                else:
-                    fav = favs[slot]
-                if k:
-                    succ = claims.get(succ_set)
+    banked = [1]
+    moves: list[tuple[tuple[int, int, int], ...]] = []
+    rank_masks = [(0,) * len(others)]  # per set of the size being expanded
+    states = arcs = 0
+    start = size = 0
+    while start < len(taken):
+        slots = turns[MANIPULATOR] >> size & window
+        pickers = [
+            (turn >> size & window, other, row)
+            for other, (turn, row) in enumerate(others)
+            if turn >> size & window
+        ]
+        grown_ids: dict[int, int] = {}
+        grown_masks: list[tuple[int, ...]] = []
+        for sid, ranks in enumerate(rank_masks, start):
+            # Every k at the start of a run of slots reaches the run's end.
+            ks = banked[sid]
+            ks |= (slots + (ks & slots)) ^ slots
+            banked[sid] = ks
+            states += ks.bit_count()
+            if states > max_states:
+                caps = [cap for cap in state_set_bounds(instance).values() if cap is not None]
+                bound = (min(caps) + 1) * (mu + 1)  # sets, with the spent one, times the k
+                raise ResourceLimitError(
+                    f"state graph exceeds max_states={max_states} at set size {size} of {m} "
+                    f"({states} states counted; the proven caps allow at most {bound})"
+                )
+            arcs += (ks & slots).bit_count()
+            mask = taken[sid]
+            out: list[tuple[int, int, int]] = []
+            for turn, other, row in pickers:
+                moving = ks & turn
+                if moving:
+                    scanned = ranks[other]
+                    item = row[(~scanned & (scanned + 1)).bit_length() - 1]
+                    grown = mask | 1 << item
+                    succ = grown_ids.get(grown)
                     if succ is None:
-                        succ = len(banked)
-                        if succ >= max_states:
-                            raise over_cap()
-                        claims[succ_set] = succ
-                        banked.append(k - 1)
-                        set_id.append(succ_set)
-                        first.append(NONE)
-                        pick.append(NONE)
-                        item.append(NONE)
-                    first[sid] = succ
-                succ = target.get(succ_set)
-                if succ is None:
-                    succ = len(banked)
-                    if succ >= max_states:
-                        raise over_cap()
-                    target[succ_set] = succ
-                    banked.append(k)
-                    set_id.append(succ_set)
-                    first.append(NONE)
-                    pick.append(NONE)
-                    item.append(NONE)
-                pick[sid] = succ
-                item[sid] = fav
-        buckets = upcoming
+                        succ = grown_ids[grown] = len(taken)
+                        taken.append(grown)
+                        banked.append(0)
+                        grown_masks.append(tuple(map(or_, ranks, rank_bits[item])))
+                    banked[succ] |= moving | moving >> 1
+                    arcs += 2 * moving.bit_count() - (moving & 1)
+                    out.append((moving, succ, item))
+            moves.append(tuple(out))
+        start += len(rank_masks)
+        rank_masks = grown_masks
+        size += 1
 
     # The spent position (every item identified) is not a picking position;
     # the closed-form caps count sets where someone can still move, so it
-    # stays out of distinct_sets.  It still appears in taken.
-    distinct = len(taken) - ((1 << m) - 1 in taken)
-    return StateGraph(banked, set_id, first, pick, item, order, taken, distinct_sets=distinct)
+    # stays out of distinct_sets.  It still appears in taken, always last.
+    distinct = len(taken) - (taken[-1] == (1 << m) - 1)
+    return StateGraph(taken, banked, moves, states, arcs, distinct)
 
 
 def backward_induction(graph: StateGraph, utilities: tuple[int, ...]) -> tuple[int, list[int]]:
-    """Return the root value and each state's chosen successor.
+    """Return the root value and, per set, the mask of k where a claim is chosen.
 
-    ``choices[s]`` is the successor an optimal play moves to from state
-    s, NONE at the end of the sequence.
-
-    ``values[s]`` is minus the utility the other agents still take from
-    s on: a pick arc costs the picked item, claim and slot arcs cost
-    nothing, and terminal states are worth 0, because the manipulator's
-    banked picks grab every leftover at the end of the sequence.  This
-    differs from her own utility from s on by sum(u) - u(taken set), a
-    constant per state, so the argmax is the same, and the root value is
-    sum(u) + values[0].  Ties between claiming and letting an agent pick
-    go to the claim, which keeps the recovered ranking deterministic.
+    Each state's value is minus the utility the other agents still take
+    from it on: a pick arc costs the picked item, claim and slot arcs
+    cost nothing, and terminal states are worth 0, because the
+    manipulator's banked picks grab every leftover at the end of the
+    sequence.  This differs from her own utility from the state on by
+    sum(u) - u(taken set), a constant per state, so the argmax is the
+    same, and the root value is sum(u) plus the root's value.  Sets are
+    solved in reverse id order, so every successor set is solved first.
+    Ties between claiming and letting an agent pick go to the claim,
+    which keeps the recovered ranking deterministic.
     """
-    first, pick, item = graph.first, graph.pick, graph.item
-    size = graph.num_states
-    values = [0] * size
-    choices = [NONE] * size
-    for sid in reversed(graph.order):
-        succ = pick[sid]
-        claim = first[sid]
-        if succ != NONE:
-            best = values[succ] - utilities[item[sid]]
-            if claim != NONE and values[claim] >= best:
-                best = values[claim]
-                succ = claim
-        elif claim != NONE:
-            succ = claim
-            best = values[claim]
-        else:
-            continue
-        values[sid] = best
-        choices[sid] = succ
-    return sum(utilities) + values[0], choices
+    taken, banked, moves = graph.taken, graph.banked, graph.moves
+    floor = -sum(utilities) - 1  # below every value, so no claim wins at k = 0
+    values: list[list[int]] = [[]] * len(moves)  # per set: floor, then the value of each k
+    claims = [0] * len(moves)
+    size, above = -1, len(moves)
+    for sid in range(len(moves) - 1, -1, -1):
+        if taken[sid].bit_count() != size:
+            # The first set of a new size, one smaller: no set left moves
+            # to the sets two sizes up, from ``above`` on.
+            size = taken[sid].bit_count()
+            del values[above:]
+            above = sid + 1
+        ks = banked[sid]
+        # One spare entry on top: the terminal state copies the 0 above it.
+        here = [0] * (ks.bit_length() + 2)
+        here[0] = floor
+        won = 0
+        for moving, succ, item in moves[sid]:
+            ks ^= moving
+            after = values[succ]
+            cost = utilities[item]
+            while moving:
+                bit = moving & -moving
+                moving ^= bit
+                k = bit.bit_length()  # k + 1 indexes the value of k
+                pick = after[k] - cost
+                claim = after[k - 1]
+                if claim >= pick:
+                    here[k] = claim
+                    won |= bit
+                else:
+                    here[k] = pick
+        # What is left are slots and the terminal state, each worth the
+        # state above it.
+        while ks:
+            k = ks.bit_length()
+            ks ^= 1 << k - 1
+            here[k] = here[k + 1]
+        values[sid] = here
+        claims[sid] = won
+    return sum(utilities) + values[0][1], claims
 
 
 def _recover_ranking(
-    graph: StateGraph, choices: list[int], instance: Instance
+    graph: StateGraph, claims: list[int], instance: Instance
 ) -> tuple[tuple[int, ...], frozenset[int]]:
-    """Read an optimal report off the chosen successors.
+    """Read an optimal report off the chosen claims.
 
     Claimed items fill the manipulator's pick turns in claim order; banked
     picks still unresolved at the end are spent on the leftovers in
@@ -315,13 +228,23 @@ def _recover_ranking(
     order, which cannot change the outcome for her.
     """
     claimed: list[int] = []
-    sid = 0
-    while choices[sid] != NONE:
-        succ = choices[sid]
-        if succ == graph.first[sid] and graph.item[sid] != NONE:
-            claimed.append(graph.item[sid])
-        sid = succ
-    final = graph.taken[graph.set_id[sid]]
+    sid = k = position = 0
+    while position < instance.num_items:
+        bit = 1 << k
+        for moving, succ, item in graph.moves[sid]:
+            if moving & bit:
+                if claims[sid] & bit:
+                    # The same agent is still to move, from (k - 1, succ).
+                    claimed.append(item)
+                    k -= 1
+                else:
+                    position += 1
+                sid = succ
+                break
+        else:
+            k += 1
+            position += 1
+    final = graph.taken[sid]
     truthful = instance.profile[MANIPULATOR]
     leftovers = [item for item in truthful if not final >> item & 1]
     mine = claimed + leftovers

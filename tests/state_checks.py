@@ -3,17 +3,30 @@
 Every reachable taken set must be the union of the ranking prefixes that
 the non-manipulators have scanned past.  The cursors here are scanned
 from each set's bitmask, not through ``core.greedy_pick`` or the build's
-packed cursor keys, so these checks share no code with what they check.
+rank-order masks, and the reachable states are recounted by a plain
+breadth-first search over (k, frozenset) states, so these checks share
+no code with what they check.
 """
+
+from collections import deque
 
 from seqalloc import BoundViolationError, profile_metrics
 from seqalloc.core import MANIPULATOR
-from seqalloc.dp import NONE
+
+
+def bits(mask: int) -> list[int]:
+    """The indices of the set bits of ``mask``, ascending."""
+    return [index for index in range(mask.bit_length()) if mask >> index & 1]
 
 
 def taken_sets(graph) -> set[frozenset[int]]:
     """All distinct taken sets of the graph, as item-index sets."""
-    return {frozenset(item for item in range(mask.bit_length()) if mask >> item & 1) for mask in graph.taken}
+    return {frozenset(bits(mask)) for mask in graph.taken}
+
+
+def states(graph) -> list[tuple[int, int]]:
+    """Every state as (banked count, set id), by set id and then k."""
+    return [(k, sid) for sid, ks in enumerate(graph.banked) for k in bits(ks)]
 
 
 def cursors(instance, mask: int) -> tuple[int, ...]:
@@ -38,7 +51,7 @@ def verify_state_invariants(instance, graph) -> int:
     range_max - 1; and every taken item outside the second agent's
     scanned prefix must sit within 2 * range_max positions below her
     favourite.  The invariants depend on the taken set alone, so each
-    set is checked once, at the first state over it in id order; that
+    set is checked once, at its first state in (set id, k) order; that
     state's banked count k names the set in errors.  Returns the number
     of states covered, 0 without non-manipulators (every taken set must
     then be empty); raises BoundViolationError on the first violation.
@@ -47,12 +60,8 @@ def verify_state_invariants(instance, graph) -> int:
     range_max = profile_metrics(instance).range_max
     rows = [row for agent, row in enumerate(instance.profile) if agent != MANIPULATOR]
 
-    checked = [False] * len(graph.taken)
-    for banked, sset in zip(graph.banked, graph.set_id):
-        if checked[sset]:
-            continue
-        checked[sset] = True
-        taken = graph.taken[sset]
+    for taken, ks in zip(graph.taken, graph.banked):
+        banked = bits(ks)[0]
         positions = cursors(instance, taken)
         union = 0
         for row, pos in zip(rows, positions):
@@ -79,25 +88,82 @@ def verify_state_invariants(instance, graph) -> int:
                         f"taken item {item} at rank {item_rank} leaves the window "
                         f"({rank + 1}..{rank + 2 * range_max}) of agent {agent}"
                     )
-    return graph.num_states if rows else 0
+    return len(states(graph)) if rows else 0
 
 
 def assert_set_layer(graph, instance) -> None:
-    """Set ids and masks are in bijection, and every state's mask is its own.
+    """Set ids and masks are in bijection, and every move's mask is its own.
 
-    Each set's mask must pass :func:`verify_state_invariants`, and every
-    arc must add exactly its item to the mask.
+    Every set carries a state, each set's mask must pass
+    :func:`verify_state_invariants`, and every move must add exactly its
+    item to the mask, at k the set reaches, with one mover per k.
     """
     taken = graph.taken
     assert len(set(taken)) == len(taken)
-    assert sorted(set(graph.set_id)) == list(range(len(taken)))
+    assert all(graph.banked)
     full = (1 << instance.num_items) - 1
     assert graph.distinct_sets == len(taken) - (full in taken)
     verify_state_invariants(instance, graph)
-    for sid, sset in enumerate(graph.set_id):
-        mask = taken[sset]
-        grown = mask | 1 << graph.item[sid] if graph.item[sid] != NONE else mask
-        if graph.first[sid] != NONE:
-            assert taken[graph.set_id[graph.first[sid]]] == grown
-        if graph.pick[sid] != NONE:
-            assert taken[graph.set_id[graph.pick[sid]]] == grown != mask
+    for sid, mask in enumerate(taken):
+        covered = 0
+        for moving, succ, item in graph.moves[sid]:
+            assert moving and not moving & ~graph.banked[sid] and not moving & covered
+            covered |= moving
+            assert taken[succ] == mask | 1 << item != mask
+
+
+def assert_set_order(graph) -> None:
+    """Set ids are a topological order from the root.
+
+    Set 0 is the empty set with the start state k = 0, sizes never
+    decrease, and every move goes to a later set one item larger.
+    """
+    assert graph.taken[0] == 0 and graph.banked[0] & 1
+    sizes = [len(bits(mask)) for mask in graph.taken]
+    assert sizes == sorted(sizes)
+    for sid, moves in enumerate(graph.moves):
+        for _, succ, _ in moves:
+            assert succ > sid and sizes[succ] == sizes[sid] + 1, (sid, succ)
+
+
+def reachable_states(instance) -> tuple[set[tuple[int, frozenset[int]]], int]:
+    """Every state reachable from (0, empty set), and the arcs between them.
+
+    A plain breadth-first search: the manipulator's turn banks a pick; a
+    non-manipulator's favourite remaining item is taken by her (k stays)
+    or, with k > 0, claimed for a banked pick (k - 1).
+    """
+    m = instance.num_items
+    start = (0, frozenset())
+    seen = {start}
+    queue = deque([start])
+    arcs = 0
+    while queue:
+        k, taken = queue.popleft()
+        if len(taken) + k == m:
+            continue
+        picker = instance.sequence[len(taken) + k]
+        if picker == MANIPULATOR:
+            successors = [(k + 1, taken)]
+        else:
+            favourite = next(item for item in instance.profile[picker] if item not in taken)
+            grown = taken | {favourite}
+            successors = [(k, grown), (k - 1, grown)] if k else [(k, grown)]
+        for state in successors:
+            arcs += 1
+            if state not in seen:
+                seen.add(state)
+                queue.append(state)
+    return seen, arcs
+
+
+def assert_matches_oracle(graph, instance) -> None:
+    """The graph has exactly the oracle's states, arcs and per-set k."""
+    reached, arcs = reachable_states(instance)
+    expected: dict[frozenset[int], int] = {}
+    for k, taken in reached:
+        expected[taken] = expected.get(taken, 0) | 1 << k
+    assert graph.num_states == len(reached)
+    assert graph.num_arcs == arcs
+    assert graph.distinct_sets == sum(1 for taken in expected if len(taken) < instance.num_items)
+    assert {frozenset(bits(mask)): ks for mask, ks in zip(graph.taken, graph.banked)} == expected

@@ -18,7 +18,7 @@ from seqalloc import (
     solve_bruteforce_rankings,
     sweep_to_csv,
 )
-from state_checks import verify_state_invariants
+from state_checks import states, verify_state_invariants
 
 
 def two_item_instance(sequence):
@@ -139,11 +139,12 @@ def test_invariants_catch_foreign_graph(running_example):
 def test_invariant_error_names_the_first_state_over_the_set(running_example):
     """Each set is checked once; a failure names its first state's banked count."""
     graph = build_state_graph(running_example)
-    shared = max(sorted(set(graph.set_id)), key=graph.set_id.count)
-    assert graph.set_id.count(shared) > 1
-    first = graph.set_id.index(shared)
+    banked, set_ids = zip(*states(graph))
+    shared = max(sorted(set(set_ids)), key=set_ids.count)
+    assert set_ids.count(shared) > 1
+    first = set_ids.index(shared)
     graph.taken[shared] = 0b10  # item 1 alone lies above no agent's favourite
-    with pytest.raises(BoundViolationError, match=rf"^state \(k={graph.banked[first]}, taken=10\) "):
+    with pytest.raises(BoundViolationError, match=rf"^state \(k={banked[first]}, taken=10\) "):
         verify_state_invariants(running_example, graph)
 
 

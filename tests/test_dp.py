@@ -12,8 +12,14 @@ from seqalloc import (
     state_set_bounds,
     truthful_utility,
 )
-from seqalloc.dp import NONE
-from state_checks import assert_set_layer, cursors, taken_sets
+from state_checks import (
+    assert_matches_oracle,
+    assert_set_layer,
+    assert_set_order,
+    cursors,
+    states,
+    taken_sets,
+)
 from test_dp_golden import golden_cases
 from test_properties import instances
 
@@ -31,10 +37,11 @@ def test_state_graph_regression(running_example, representation):
     sets tell apart.
     """
     graph = build_state_graph(running_example)
-    masks = [graph.taken[sset] for sset in graph.set_id]
+    banked, set_ids = zip(*states(graph))
+    masks = [graph.taken[sid] for sid in set_ids]
     if representation == "agent":
         masks = [cursors(running_example, mask) for mask in masks]
-    keys = list(zip(graph.banked, masks))
+    keys = list(zip(banked, masks))
     assert len(set(keys)) == len(keys) == 12
     assert graph.num_states == 12
     assert graph.distinct_sets == 6
@@ -84,7 +91,8 @@ def test_single_agent_chain():
     graph = build_state_graph(instance)
     assert graph.num_states == 4
     assert graph.distinct_sets == 1
-    assert graph.banked == [0, 1, 2, 3]
+    assert graph.banked == [0b1111]
+    assert states(graph) == [(0, 0), (1, 0), (2, 0), (3, 0)]
     result = solve_dp(instance)
     assert result.optimal_utility == 6
     assert result.ranking == (0, 1, 2)
@@ -150,35 +158,69 @@ def test_never_worse_than_truthful_never_twice(running_example):
             assert value < 2 * truthful
 
 
+def test_claim_wins_ties():
+    """A claim that ties the pick is taken, which fixes the recovered ranking.
+
+    Here a claim and a pick tie on the optimal path; letting the pick win
+    ties gives the same value but the ranking (2, 5, 4, 0, 3, 1, 6) and
+    another bundle.
+    """
+    instance = Instance(
+        items=[f"i{item}" for item in range(7)],
+        agents=["a1", "a2", "a3"],
+        sequence=[0, 0, 2, 1, 0, 0, 0],
+        profile=[[4, 1, 2, 5, 0, 6, 3], [2, 5, 1, 6, 0, 4, 3], [1, 0, 4, 3, 6, 2, 5]],
+        utilities=[7, 10, 9, 2, 14, 8, 5],
+    )
+    result = solve_dp(instance)
+    assert result.optimal_utility == 40
+    assert result.ranking == (1, 2, 4, 6, 3, 5, 0)
+    assert result.bundle == {1, 2, 3, 4, 6}
+
+
+@pytest.mark.parametrize("case", ["running", "golden"])
+def test_max_states_is_inclusive(running_example, case):
+    """A graph of exactly max_states states builds; one state fewer raises."""
+    instance = running_example if case == "running" else max(GOLDEN_CASES.values(), key=lambda i: i.num_items)
+    count = build_state_graph(instance).num_states
+    assert build_state_graph(instance, max_states=count).num_states == count
+    with pytest.raises(ResourceLimitError):
+        build_state_graph(instance, max_states=count - 1)
+
+
 def test_max_states_guard(running_example):
-    with pytest.raises(ResourceLimitError, match=r"max_states=3 at level 1 of 4 \(3 states created\)"):
+    """The cap trips at the set that passes it, naming the bound known up front.
+
+    The empty set and the first set of size 1 hold 2 states each; the
+    least proven cap is m**(n-1) = 16 sets, so at most 17 * 3 states.
+    """
+    with pytest.raises(
+        ResourceLimitError,
+        match=r"max_states=3 at set size 1 of 4 \(4 states counted; the proven caps allow at most 51\)$",
+    ):
         build_state_graph(running_example, max_states=3)
-
-
-def _assert_order_contract(graph):
-    """Ids are discovery ids; ``order`` is a topological order from the root."""
-    order = graph.order
-    assert sorted(order) == list(range(graph.num_states))
-    assert order[0] == 0
-    assert (graph.banked[0], graph.taken[graph.set_id[0]]) == (0, 0)
-    position = [0] * graph.num_states
-    for place, sid in enumerate(order):
-        position[sid] = place
-    for sid in range(graph.num_states):
-        for succ in (graph.first[sid], graph.pick[sid]):
-            if succ != NONE:
-                assert position[succ] > position[sid], (sid, succ)
 
 
 @pytest.mark.parametrize("case", list(GOLDEN_CASES))
 def test_order_is_topological_on_golden_instances(case):
-    _assert_order_contract(build_state_graph(GOLDEN_CASES[case]))
+    assert_set_order(build_state_graph(GOLDEN_CASES[case]))
 
 
 @settings(max_examples=150, deadline=None)
 @given(instances(max_agents=4, max_items=8))
 def test_order_is_topological(instance):
-    _assert_order_contract(build_state_graph(instance))
+    assert_set_order(build_state_graph(instance))
+
+
+@pytest.mark.parametrize("case", [name for name, case in GOLDEN_CASES.items() if case.num_items <= 14])
+def test_graph_matches_state_oracle_on_golden_instances(case):
+    assert_matches_oracle(build_state_graph(GOLDEN_CASES[case]), GOLDEN_CASES[case])
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(max_agents=4, max_items=8))
+def test_graph_matches_state_oracle(instance):
+    assert_matches_oracle(build_state_graph(instance), instance)
 
 
 @pytest.mark.parametrize("case", list(GOLDEN_CASES))

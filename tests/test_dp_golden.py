@@ -8,8 +8,8 @@ are seeded random ones with one to five agents and up to 14 items, a
 instances, the tight family and both clique gadgets.  The expected file
 was recorded from the solver before its state graph was rewritten, so a
 change of value, tie-break, state count or reachable sets shows up
-here.  State ids and the processing order are not pinned: renumbering
-the states leaves this file passing.  The order is guarded by
+here.  Set ids are not pinned: renumbering the sets leaves this file
+passing.  Their order is guarded by
 ``test_dp::test_order_is_topological*``.
 
 To re-record after an intended change of output::

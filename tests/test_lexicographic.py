@@ -89,8 +89,8 @@ def dp_optimum(instance: Instance, utilities: tuple[int, ...]) -> tuple[int, fro
         result = solve_dp(with_utilities(instance, utilities))
         return result.optimal_utility, result.bundle
     graph = build_state_graph(instance)
-    value, choices = backward_induction(graph, utilities)
-    ranking, bundle = _recover_ranking(graph, choices, instance)
+    value, claims = backward_induction(graph, utilities)
+    ranking, bundle = _recover_ranking(graph, claims, instance)
     assert simulate(instance, ranking).bundles[MANIPULATOR] == bundle
     return value, bundle
 
