@@ -5,9 +5,12 @@ manipulator holding at least those items after the protocol runs.  Sets
 larger than her number of picking turns are trivially out of reach.  For
 the rest, a greedy rule suffices: at each of her turns she secures the
 still-unsecured target that the other agents would otherwise take
-soonest.  The test suite holds the rule to an external MILP solve of the
-integer program with the target required in the manipulator's bundle,
-which shares no code with this module.
+soonest.  Each of their turns removes exactly one item, so that is the
+first unsecured target they take while she sits out, or, when they
+take none, the one she truthfully prefers.  The test suite holds the
+rule to an external MILP solve of the integer program with the target
+required in the manipulator's bundle, which shares no code with this
+module.
 
 On top of the check sit two exhaustive solvers for the best-response
 problem: a branch and bound over candidate bundles (C(m, mu) sets in
@@ -40,8 +43,6 @@ from .core import (
     simulate,
 )
 
-_NEVER = 1 << 60
-
 
 class AchievabilityCertificate(NamedTuple):
     """Outcome of an achievability check.
@@ -66,13 +67,13 @@ def _checked_target(instance: Instance, target: Iterable[int]) -> frozenset[int]
 def is_achievable(instance: Instance, target: Iterable[int]) -> AchievabilityCertificate:
     """Greedy most-endangered-first check.
 
-    At each manipulator turn, every unsecured target's removal time is
-    measured in a hypothetical continuation where the manipulator sits
-    out all her turns; she then secures the target that would disappear
-    first (ties: the one she truthfully prefers).  Runs in
-    O(mu * (m + n)) per call.  The test suite holds every verdict to a
-    MILP solve of the integer program that requires the target in the
-    manipulator's bundle.
+    At each manipulator turn the other agents' remaining turns are
+    replayed with her sitting out; she secures the first unsecured
+    target they take (none taken: the one she truthfully prefers).
+    Each replay copies the m-entry ``taken`` list and moves up to n - 1
+    cursors across m-entry rows: O(mu * n * m) per call at worst.  The
+    test suite holds every verdict to a MILP solve of the integer
+    program that requires the target in the manipulator's bundle.
     """
     target = _checked_target(instance, target)
     if len(target) > instance.manipulator_turns():
@@ -140,20 +141,17 @@ def _most_endangered(
 ) -> int:
     """Unsecured target taken soonest if the manipulator stops picking.
 
-    ``pickers`` are the other agents' remaining turns, in order.
+    ``pickers`` are the other agents' remaining turns, in order.  Each
+    removes exactly one item, so the first unsecured target taken is the
+    most endangered; when none is, it is the truthfully preferred one.
     """
     hypothetical = taken.copy()
     hypo_cursors = cursors.copy()
-    removal: dict[int, int] = {}
-    missing = len(unsecured)
-    for t, agent in enumerate(pickers):
+    for agent in pickers:
         item = greedy_pick(profile[agent], hypo_cursors, agent, hypothetical)
         if item in unsecured:
-            removal[item] = t
-            missing -= 1
-            if missing == 0:
-                break
-    return min(unsecured, key=lambda item: (removal.get(item, _NEVER), truthful_pos[item]))
+            return item
+    return min(unsecured, key=truthful_pos.__getitem__)
 
 
 def _completion_bounds(utilities: tuple[int, ...], mu: int) -> list[list[int]]:

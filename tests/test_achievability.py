@@ -116,6 +116,83 @@ def test_certificates_replay(running_example):
                 assert target <= replay.bundles[0]
 
 
+def removal_time_rule(instance, target):
+    """The greedy rule as first stated, over the instance's fields alone.
+
+    At each of her turns, every unsecured target gets its removal time in
+    a continuation where she sits out (never taken: infinity), and she
+    secures the target with the smallest (time, truthful position).
+    Returns the ranking (None when a target is lost) and two flags: some
+    turn had at least two unsecured targets and none taken, and some turn
+    secured a target other than her truthful favourite among them.
+    """
+    truthful = instance.profile[0]
+    position = {item: pos for pos, item in enumerate(truthful)}
+
+    def pick(agent, taken, cursors):
+        row = instance.profile[agent]
+        while row[cursors[agent]] in taken:
+            cursors[agent] += 1
+        taken.add(row[cursors[agent]])
+        return row[cursors[agent]]
+
+    taken, cursors = set(), [0] * instance.num_agents
+    unsecured, picks = set(target), []
+    none_taken = detour = False
+    for step, agent in enumerate(instance.sequence):
+        if agent != 0:
+            if pick(agent, taken, cursors) in unsecured:
+                return None, none_taken, detour
+        elif unsecured:
+            sit_out_taken, sit_out_cursors = set(taken), list(cursors)
+            later = [other for other in instance.sequence[step + 1 :] if other != 0]
+            removal = {}
+            for time, other in enumerate(later):
+                item = pick(other, sit_out_taken, sit_out_cursors)
+                if item in unsecured:
+                    removal[item] = time
+            chosen = min(unsecured, key=lambda item: (removal.get(item, math.inf), position[item]))
+            none_taken |= not removal and len(unsecured) > 1
+            detour |= chosen != min(unsecured, key=position.__getitem__)
+            unsecured.discard(chosen)
+            taken.add(chosen)
+            picks.append(chosen)
+        else:
+            picks.append(pick(0, taken, cursors))
+    return tuple(picks) + tuple(item for item in truthful if item not in picks), none_taken, detour
+
+
+def test_certificate_matches_removal_time_rule():
+    """``is_achievable`` secures what the removal-time rule secures, turn by turn.
+
+    Verdict and ranking must equal the rule's on random and correlated
+    instances with targets of every size 1..mu.  The cases must include
+    turns where the others take none of at least two unsecured targets
+    (the truthful fallback decides) and turns where the first target
+    taken is not her truthful favourite (the removal time decides).
+    """
+    none_taken = detour = 0
+    for index, m in enumerate(range(6, 17)):
+        n = 2 + index % 3
+        mu = max(1, m // n)
+        for seed in (1, 2):
+            for instance in (
+                gen_random(seed * 50 + m, n, m, mu_manipulator=mu)[0],
+                gen_correlated(seed * 50 + m, n, m, 2, mu_manipulator=mu)[0],
+            ):
+                for size in range(1, mu + 1):
+                    target = seeded_targets(instance, size, f"removal-{seed}")
+                    ranking, fallback, detoured = removal_time_rule(instance, target)
+                    certificate = is_achievable(instance, target)
+                    assert (certificate.achievable, certificate.ranking) == (ranking is not None, ranking), (
+                        instance.to_json(),
+                        sorted(target),
+                    )
+                    none_taken += fallback
+                    detour += detoured
+    assert none_taken and detour, (none_taken, detour)
+
+
 def test_subset_enum_regression(running_example, running_example_steep):
     result = solve_subset_enum(running_example)
     assert result.optimal_utility == 7
