@@ -90,15 +90,12 @@ class _Protocol(NamedTuple):
     sequence: tuple[int, ...]
     profile: tuple[tuple[int, ...], ...]
     others: list[int]  # the other agents' turns, in order
-    truthful_pos: list[int]  # item -> position in her truthful ranking
+    utilities: tuple[int, ...]  # strictly decreasing along her truthful ranking
 
     @classmethod
     def of(cls, instance: Instance) -> _Protocol:
-        truthful_pos = [0] * instance.num_items
-        for pos, item in enumerate(instance.profile[MANIPULATOR]):
-            truthful_pos[item] = pos
         others = [agent for agent in instance.sequence if agent != MANIPULATOR]
-        return cls(instance.sequence, instance.profile, others, truthful_pos)
+        return cls(instance.sequence, instance.profile, others, instance.utilities)
 
 
 def _secure(protocol: _Protocol, target: Iterable[int]) -> tuple[int, ...] | None:
@@ -107,8 +104,8 @@ def _secure(protocol: _Protocol, target: Iterable[int]) -> tuple[int, ...] | Non
     Returns a ranking that secures ``target``, or None when none does.
     Callers check the target; this kernel does not.
     """
-    sequence, profile, others, truthful_pos = protocol
-    taken = [False] * len(truthful_pos)
+    sequence, profile, others, utilities = protocol
+    taken = [False] * len(utilities)
     cursors = [0] * len(profile)
     unsecured = set(target)
     my_picks: list[int] = []
@@ -120,7 +117,7 @@ def _secure(protocol: _Protocol, target: Iterable[int]) -> tuple[int, ...] | Non
             if greedy_pick(profile[agent], cursors, agent, taken) in unsecured:
                 return None
         elif unsecured:
-            item = _most_endangered(profile, others[others_done:], taken, cursors, unsecured, truthful_pos)
+            item = _most_endangered(profile, others[others_done:], taken, cursors, unsecured, utilities)
             unsecured.discard(item)
             taken[item] = True
             my_picks.append(item)
@@ -137,7 +134,7 @@ def _most_endangered(
     taken: list[bool],
     cursors: list[int],
     unsecured: set[int],
-    truthful_pos: list[int],
+    utilities: tuple[int, ...],
 ) -> int:
     """Unsecured target taken soonest if the manipulator stops picking.
 
@@ -151,7 +148,7 @@ def _most_endangered(
         item = greedy_pick(profile[agent], hypo_cursors, agent, hypothetical)
         if item in unsecured:
             return item
-    return min(unsecured, key=truthful_pos.__getitem__)
+    return max(unsecured, key=utilities.__getitem__)
 
 
 def _completion_bounds(utilities: tuple[int, ...], mu: int) -> list[list[int]]:

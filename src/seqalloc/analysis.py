@@ -25,6 +25,7 @@ from .core import (
     InvalidInstanceError,
     ManipulationResult,
     ResourceLimitError,
+    solver,
     truthful_utility,
 )
 from .dp import solve_dp, state_set_bounds
@@ -188,28 +189,8 @@ SWEEP_COLUMNS = [
 ]
 
 
-# The sweep alone needs the exhaustive solvers and the generators, so they
-# are imported where used and ``check`` loads neither.
-def _solve_subset(instance: Instance) -> ManipulationResult:
-    from .achievability import solve_subset_enum
-
-    return solve_subset_enum(instance)
-
-
-def _solve_brute(instance: Instance) -> ManipulationResult:
-    from .achievability import solve_bruteforce_rankings
-
-    return solve_bruteforce_rankings(instance)
-
-
-_SOLVERS = {
-    "dp": lambda instance: solve_dp(instance),
-    "subset": _solve_subset,
-    "brute": _solve_brute,
-}
-
-
 def _sweep_row(point: tuple) -> dict:
+    # Imported here, like the solver, so that ``check`` loads neither.
     from .generators import gen_correlated, gen_random
 
     n, m, mu, target, seed, algorithm = point
@@ -221,10 +202,7 @@ def _sweep_row(point: tuple) -> dict:
         else:
             instance, _ = gen_correlated(seed, n, m, target, mu_manipulator=mu)
         row["mu_manipulator"] = instance.manipulator_turns()
-        solver = _SOLVERS.get(algorithm)
-        if solver is None:
-            raise ValueError(f"unknown algorithm {algorithm!r}")
-        result = solver(instance)
+        result = solver(algorithm)(instance)
         report = _proven_facts(instance, result)
         row["optimal_utility"] = report.u_optimal
         row["truthful_utility"] = report.u_truthful

@@ -20,11 +20,13 @@ from .core import (
     DEFAULT_MAX_STATES,
     DEFAULT_RANKING_ITEM_LIMIT,
     DEFAULT_SUBSET_BUDGET,
+    SOLVERS,
     Instance,
     InvalidInstanceError,
     ResourceLimitError,
     bundle_utility,
     simulate,
+    solver,
     truthful_utility,
 )
 
@@ -61,18 +63,8 @@ def _note(message: str) -> None:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = _load_instance(args.input)
-    if args.algo == "dp":
-        from .dp import solve_dp
-
-        result = solve_dp(instance, max_states=args.max_states)
-    elif args.algo == "subset":
-        from .achievability import solve_subset_enum
-
-        result = solve_subset_enum(instance, budget=args.enum_budget)
-    else:
-        from .achievability import solve_bruteforce_rankings
-
-        result = solve_bruteforce_rankings(instance, limit=args.brute_limit)
+    budget = {"dp": args.max_states, "subset": args.enum_budget, "brute": args.brute_limit}[args.algo]
+    result = solver(args.algo)(instance, budget)
     _write_text(args.out, result.to_json(timings=args.timings))
     _note(
         f"{args.algo}: optimal utility {result.optimal_utility} "
@@ -188,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="compute an optimal manipulation")
     add_io(solve)
-    solve.add_argument("--algo", choices=["dp", "subset", "brute"], default="dp")
+    solve.add_argument("--algo", choices=list(SOLVERS), default="dp")
     solve.add_argument("--max-states", type=_positive_int, default=DEFAULT_MAX_STATES)
     solve.add_argument("--enum-budget", type=_positive_int, default=DEFAULT_SUBSET_BUDGET)
     solve.add_argument("--brute-limit", type=_positive_int, default=DEFAULT_RANKING_ITEM_LIMIT)

@@ -20,18 +20,32 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import importlib
 import json
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 MANIPULATOR = 0
 
 UTILITY_SUM_LIMIT = 2**63 - 1
 
-# Solver budgets.  They live here, beside ResourceLimitError, so that the
-# CLI can show them as option defaults without loading the solvers.
+# The solvers, by algorithm name, and their budgets.  They live here,
+# beside ResourceLimitError, so that the CLI can offer the names as
+# choices and the budgets as option defaults without loading a solver.
+# Every solver takes an instance and, second, its budget.
+SOLVERS = {"dp": "solve_dp", "subset": "solve_subset_enum", "brute": "solve_bruteforce_rankings"}
 DEFAULT_MAX_STATES = 2_000_000
 DEFAULT_SUBSET_BUDGET = 5_000_000
 DEFAULT_RANKING_ITEM_LIMIT = 8
+
+
+def solver(name: str) -> Callable[..., ManipulationResult]:
+    """The solver that ``SOLVERS`` names, looked up through the package.
+
+    Only its module loads, and a rebinding there is what comes back.
+    """
+    if name not in SOLVERS:
+        raise ValueError(f"unknown algorithm {name!r}")
+    return getattr(importlib.import_module(__package__), SOLVERS[name])
 
 
 class InvalidInstanceError(ValueError):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import seeded_instances
-from seqalloc import analysis
+from seqalloc import achievability, analysis, dp
 from seqalloc import (
     BoundViolationError,
     Instance,
@@ -203,7 +203,7 @@ def test_sweep_survives_internal_errors(monkeypatch):
     def broken(instance):
         raise RuntimeError("internal error: recovered ranking does not replay")
 
-    monkeypatch.setitem(analysis._SOLVERS, "brute", broken)
+    monkeypatch.setattr(achievability, "solve_bruteforce_rankings", broken)
     config = SweepConfig(agents=(2,), items=(4,), algorithms=("brute", "dp"))
     rows = run_sweep(config)
     assert rows[0]["status"] == "internal:internal error: recovered ranking does not replay"
@@ -214,7 +214,7 @@ def test_sweep_survives_internal_errors(monkeypatch):
 @pytest.mark.parametrize("fault", ["ratio", "cap"])
 def test_sweep_rows_hold_results_to_both_facts(monkeypatch, fault):
     """A sweep row breaking either proven fact reads internal, where check would raise."""
-    honest = analysis._SOLVERS["dp"]
+    honest = dp.solve_dp
 
     def broken(instance):
         result = honest(instance)
@@ -222,7 +222,7 @@ def test_sweep_rows_hold_results_to_both_facts(monkeypatch, fault):
             return result._replace(optimal_utility=2 * 8)
         return result._replace(stats=dict(result.stats, distinct_sets=result.stats["bound_m_pow"] + 1))
 
-    monkeypatch.setitem(analysis._SOLVERS, "dp", broken)
+    monkeypatch.setattr(dp, "solve_dp", broken)
     (row,) = run_sweep(SweepConfig(agents=(3,), items=(5,)))
     message = "optimal utility 16 reaches twice the truthful 8" if fault == "ratio" else "26 distinct taken sets exceed bound m_pow = 25"
     assert row["status"] == f"internal:{message}"
@@ -232,7 +232,7 @@ def test_sweep_rows_hold_results_to_both_facts(monkeypatch, fault):
 def test_sweep_reports_unknown_algorithm():
     config = SweepConfig(agents=(2,), items=(4,), algorithms=("nope",))
     (row,) = run_sweep(config)
-    assert row["status"].startswith("error:")
+    assert row["status"] == "error:unknown algorithm 'nope'"
 
 
 def test_sweep_csv_shape():

@@ -51,7 +51,7 @@ def test_solve_dp_stdout(example_json):
     assert "optimal utility 7" in proc.stderr
 
 
-@pytest.mark.parametrize("algo", ["subset", "brute"])
+@pytest.mark.parametrize("algo", ["dp", "subset", "brute"])
 def test_solve_other_algorithms(example_json, algo):
     proc = run_cli("solve", "--algo", algo, stdin_text=example_json)
     assert proc.returncode == 0
@@ -358,12 +358,13 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
     "argv, absent",
     [
         (["generate", "--type", "random"], ["seqalloc.analysis"]),
-        (["solve", "--algo", "dp"], ["seqalloc.analysis"]),
+        (["solve", "--algo", "dp"], ["seqalloc.achievability", "seqalloc.analysis"]),
+        (["solve", "--algo", "subset"], ["seqalloc.dp", "seqalloc.analysis"]),
         (["simulate"], ["seqalloc.analysis"]),
         (["export-ilp"], ["seqalloc.analysis"]),
         (["check"], ["seqalloc.generators", "seqalloc.achievability", "csv"]),
     ],
-    ids=["generate", "solve-dp", "simulate", "export-ilp", "check"],
+    ids=["generate", "solve-dp", "solve-subset", "simulate", "export-ilp", "check"],
 )
 def test_subcommands_load_only_what_they_run(tmp_path, example_json, argv, absent):
     """Each subcommand imports its own modules, and no module pulls in dataclasses."""
