@@ -13,7 +13,12 @@ fed to off-the-shelf MILP solvers; no solver is linked in.
 :func:`export_lp` is the one definition of the dialect: :func:`parse_lp`
 reads only the numbers and accepts a text only if re-exporting its model
 gives the same bytes.  :data:`MAX_LP_TERMS` caps the text's size, since the
-greedy rows hold O(m^3) terms.
+greedy rows hold O(m^3) terms.  Building, writing and reading all take
+time in proportion to the text's bytes, with per-term work done by
+``str`` methods: the model shares each agent's better-item tuples across
+her steps, the writer formats each variable name once and joins names
+into rows (a row's earlier steps are a prefix of its item's run of
+names), and the reader splits a row's better items out in one piece.
 The test suite solves the exported text with an external MILP solver,
 which shares nothing with the package's solvers.  It holds the optimum
 to the dynamic program's, the feasibility of a target-securing model to
@@ -72,7 +77,8 @@ def build_model(instance: Instance) -> IpModel:
     more than MAX_LP_TERMS variable occurrences: m per manipulator step in
     the objective, 3m^2 in the bijection rows and the Binary section, and
     at each other step t, m rows of 1 + |better| + (t - 1) terms, where
-    the |better| sum to m(m - 1)/2.
+    the |better| sum to m(m - 1)/2.  Each agent's better tuples are built
+    once and shared by all of her steps' rows.
     """
     m = instance.num_items
     manip_steps = tuple(t for t, agent in enumerate(instance.sequence, start=1) if agent == MANIPULATOR)
@@ -82,18 +88,19 @@ def build_model(instance: Instance) -> IpModel:
     )
     if terms > MAX_LP_TERMS:
         raise ResourceLimitError(f"LP text would hold {terms} variable terms > MAX_LP_TERMS={MAX_LP_TERMS}")
-    rows = []
-    for t, agent in enumerate(instance.sequence, start=1):
-        if agent == MANIPULATOR:
-            continue
-        ranking = instance.profile[agent]
-        better: dict[int, tuple[int, ...]] = {}
-        prefix: list[int] = []
-        for item in ranking:
-            better[item] = tuple(prefix)
-            prefix.append(item)
-        for item in range(1, m + 1):
-            rows.append(GreedyRow(item, t, tuple(j + 1 for j in better[item - 1])))
+    # better[agent][item - 1]: the 1-based items the agent ranks above item.
+    better: dict[int, list[tuple[int, ...]]] = {}
+    for agent in set(instance.sequence) - {MANIPULATOR}:
+        ranked = [item + 1 for item in instance.profile[agent]]
+        better[agent] = [()] * m
+        for rank, item in enumerate(ranked):
+            better[agent][item - 1] = tuple(ranked[:rank])
+    rows = [
+        GreedyRow(item, t, ahead)
+        for t, agent in enumerate(instance.sequence, start=1)
+        if agent != MANIPULATOR
+        for item, ahead in enumerate(better[agent], start=1)
+    ]
     return IpModel(
         num_items=m,
         utilities=instance.utilities,
@@ -102,42 +109,56 @@ def build_model(instance: Instance) -> IpModel:
     )
 
 
-def _var(item: int, step: int) -> str:
-    return f"x_{item}_{step}"
-
-
 def export_lp(model: IpModel) -> str:
     """Serialize to LP-format text, byte-stable for diff-based tests.
 
     Zero objective coefficients are written out too, so the utilities
-    survive a parse/export round trip exactly.
+    survive a parse/export round trip exactly.  Each name x_{item}_{step}
+    is formatted once, for every item and step the model names (a
+    hand-built model may name any int).  A greedy row is one join of its
+    own name and the better items' names at its step, then its earlier
+    steps as a prefix of the item's run of names.
     """
     m = model.num_items
+    rows = model.greedy_rows
+    items = set(range(1, m + 1)).union([row.item for row in rows], *[row.better for row in rows])
+    reach = range(1, max([m, *[row.step - 1 for row in rows]]) + 1)
+    columns = {
+        step: {item: f"x_{item}_{step}" for item in items}
+        for step in {*reach, *model.manipulator_steps, *[row.step for row in rows]}
+    }
+    # runs[item] is " + x_{item}_1 + x_{item}_2 ..." over reach, and
+    # ends[item][k] the length of its first k terms.
+    runs, ends = {}, {}
+    for item in items:
+        terms = [" + " + columns[step][item] for step in reach]
+        runs[item] = "".join(terms)
+        ends[item] = cut = [0]
+        for term in terms:
+            cut.append(cut[-1] + len(term))
     lines = ["Maximize"]
     terms = [
-        f"{model.utilities[item - 1]} {_var(item, step)}"
+        f"{model.utilities[item - 1]} {columns[step][item]}"
         for item in range(1, m + 1)
         for step in model.manipulator_steps
     ]
     lines.append(" obj: " + " + ".join(terms) if terms else " obj:")
     lines.append("Subject To")
-    for item in range(1, m + 1):
-        total = " + ".join(_var(item, step) for step in range(1, m + 1))
-        lines.append(f" item_{item}: {total} = 1")
+    item_rows = [runs[item][3 : ends[item][m]] for item in range(1, m + 1)]
+    lines += [f" item_{item}: {row} = 1" for item, row in enumerate(item_rows, start=1)]
     for step in range(1, m + 1):
-        total = " + ".join(_var(item, step) for item in range(1, m + 1))
+        column = columns[step]
+        total = " + ".join([column[item] for item in range(1, m + 1)])
         lines.append(f" step_{step}: {total} = 1")
-    for row in model.greedy_rows:
-        terms = [_var(row.item, row.step)]
-        terms += [_var(j, row.step) for j in row.better]
-        terms += [_var(row.item, earlier) for earlier in range(1, row.step)]
-        lines.append(f" greedy_{row.item}_{row.step}: " + " + ".join(terms) + " >= 1")
+    for item, step, better in rows:
+        column = columns[step]
+        named = " + ".join([column[j] for j in (item, *better)])
+        earlier = runs[item][: ends[item][max(step - 1, 0)]]
+        lines.append(f" greedy_{item}_{step}: {named}{earlier} >= 1")
     lines.append("Binary")
-    for item in range(1, m + 1):
-        for step in range(1, m + 1):
-            lines.append(f" {_var(item, step)}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+    lines += [" " + row.replace(" + ", "\n ") for row in item_rows]
+    lines.append("End\n")
+    return "\n".join(lines)
 
 
 def parse_lp(text: str) -> IpModel:
@@ -147,37 +168,62 @@ def parse_lp(text: str) -> IpModel:
     coefficients and each greedy row's item, step and better items.  The
     text is accepted only if :func:`export_lp` writes it back byte for
     byte, so the dialect has that one definition; anything else raises
-    ValueError.  The counts the export depends on are checked against
-    the text first, which keeps the re-export within a constant factor
-    of the input's length.
+    ValueError.  Before the re-export, the text must have the line count
+    of an exported model, every index must lie in 1..m, and each greedy
+    row must be long enough to hold the earlier-step run the re-export
+    writes for it; this keeps the re-export within a constant factor of
+    the input's length.  Each line is read where the export puts it.  A
+    greedy row's better items fill the span between its own name and its
+    earlier-step run, whose length follows from its item and step; the
+    span is split into numbers by ``str`` methods in one piece, and rows
+    naming the same better items share one tuple, as built models do.
+    """
+    model = _read_model(text)
+    if export_lp(model) != text:
+        raise ValueError("LP text is not what export_lp writes for the model it describes")
+    return model
+
+
+def _read_model(text: str) -> IpModel:
+    """The model whose export :func:`parse_lp` compares with ``text``.
+
+    Its lines are freed on return, before the re-export.
     """
     lines = text.split("\n")
-    m = sum(line.startswith(" item_") for line in lines)
-    greedy = [line for line in lines if line.startswith(" greedy_")]
+    m = text.count("\n item_")
+    num_greedy = text.count("\n greedy_")
     # Six more: four section headers, the objective and the empty string
     # after the final newline.
-    if m < 1 or len(lines) != 2 * m + len(greedy) + m * m + 6:
+    if m < 1 or len(lines) != 2 * m + num_greedy + m * m + 6:
         raise ValueError("LP text does not have the line count of an exported model")
     _, _, objective = lines[1].partition(": ")
     coefficients = [int(term.partition(" ")[0]) for term in objective.split(" + ")] if objective else []
+    number = {str(j): j for j in range(1, m + 1)}  # the text of each index 1..m
+    digits = [0]  # digits[k]: characters in the numbers 1..k
+    for numeral in number:
+        digits.append(digits[-1] + len(numeral))
+    better_of: dict[str, tuple] = {"": ()}  # by the better items' numbers, " "-separated
     rows = []
-    for line in greedy:
+    for line in lines[2 * m + 3 : 2 * m + 3 + num_greedy]:
         name, _, body = line.partition(": ")
-        item, step = (int(part) for part in name[len(" greedy_") :].split("_"))
-        terms = body.removesuffix(" >= 1").split(" + ")
-        # x_{item}_{step}, then the better items' x_{j}_{step}, then the
-        # step - 1 earlier x_{item}_{t}: the export checks every name, but
-        # not that the items exist.
-        better = tuple(int(term[2:].partition("_")[0]) for term in terms[1 : len(terms) - step + 1])
-        if not 1 <= step <= min(m, len(terms)) or not all(1 <= j <= m for j in (item, *better)):
-            raise ValueError(f"row {name.strip()!r} is not a greedy cover row over items 1..{m}")
-        rows.append(GreedyRow(item, step, better))
+        item_text, _, step_text = name[len(" greedy_") :].partition("_")
+        item, step = number.get(item_text), number.get(step_text)
+        if item and step:
+            # The body is x_{item}_{step}, the better items' " + x_{j}_{step}",
+            # the step - 1 earlier " + x_{item}_{t}", then " >= 1".
+            earlier = (step - 1) * (len(item_text) + 6) + digits[step - 1]
+            named = body[len(item_text) + len(step_text) + 3 : len(body) - earlier - 5]
+            key = named[5 : -len(step_text) - 1].replace(f"_{step_text} + x_", " ")
+            if key not in better_of:
+                better_of[key] = tuple(map(number.get, key.split(" ")))
+            # The text must hold the earlier run that the re-export writes.
+            if earlier < len(body) and None not in better_of[key]:
+                rows.append(GreedyRow(item, step, better_of[key]))
+                continue
+        raise ValueError(f"row {name.strip()!r} is not a greedy cover row over items 1..{m}")
     greedy_steps = {row.step for row in rows}
     steps = tuple(t for t in range(1, m + 1) if t not in greedy_steps)
     if len(coefficients) != m * len(steps):
         raise ValueError("objective does not have one term per item and manipulator step")
     utilities = tuple(coefficients[:: len(steps)]) if steps else (0,) * m
-    model = IpModel(num_items=m, utilities=utilities, manipulator_steps=steps, greedy_rows=tuple(rows))
-    if export_lp(model) != text:
-        raise ValueError("LP text is not what export_lp writes for the model it describes")
-    return model
+    return IpModel(num_items=m, utilities=utilities, manipulator_steps=steps, greedy_rows=tuple(rows))

@@ -412,3 +412,77 @@ def test_subset_enum_matches_dp_beyond_brute_force_reach():
             assert simulate(instance, result.ranking).bundles[0] == result.bundle
             checked += 1
     assert checked == 12
+
+
+def dp_probe(instance: Instance, target: frozenset[int]) -> Instance:
+    """The instance with a manipulator who must hold ``target`` to do well.
+
+    Her ranking puts the target first, and each target item is worth more
+    than all other items together, so every bundle holding the target
+    beats every bundle missing one of its items.  Whether a target can be
+    secured does not depend on her truthful ranking, so the target is
+    securable exactly when the probe's optimal bundle contains it.
+    """
+    rest = [item for item in instance.profile[0] if item not in target]
+    ranking = [*sorted(target), *rest]
+    utilities = [0] * instance.num_items
+    for value, item in enumerate(reversed(ranking), start=1):
+        utilities[item] = value if item not in target else value + len(rest) * (len(rest) + 1) // 2
+    return Instance(instance.items, instance.agents, instance.sequence, [ranking, *instance.profile[1:]], utilities)
+
+
+def test_is_achievable_matches_dp_probe_at_100_to_200_items():
+    """Greedy achievability against the DP at m 100-200, far past the MILP's m <= 24.
+
+    Targets: random sets of 1, 2, mu/2 and mu items, the optimal bundle,
+    and that bundle with its worst item traded for her best item outside it.
+    """
+    verdicts = []
+    for instance in (
+        gen_random(1, 3, 100)[0],
+        gen_random(2, 5, 100)[0],
+        gen_correlated(3, 4, 150, 4)[0],
+        gen_random(4, 3, 200)[0],
+        gen_correlated(5, 4, 200, 3)[0],
+    ):
+        mu = instance.manipulator_turns()
+        bundle = solve_dp(instance).bundle
+        worst = next(item for item in reversed(instance.profile[0]) if item in bundle)
+        best_outside = next(item for item in instance.profile[0] if item not in bundle)
+        targets = [seeded_targets(instance, size, "dp-probe") for size in (1, 2, mu // 2, mu)]
+        targets += [bundle, bundle - {worst} | {best_outside}]
+        for target in targets:
+            certificate = is_achievable(instance, target)
+            assert certificate.achievable == (target <= solve_dp(dp_probe(instance, target)).bundle)
+            if certificate.achievable:
+                assert target <= simulate(instance, certificate.ranking).bundles[0]
+            verdicts.append(certificate.achievable)
+    # 16 of the 30 targets can be secured and 14 cannot.
+    assert (len(verdicts), verdicts.count(True)) == (30, 16)
+
+
+def test_subset_enum_matches_dp_at_100_to_200_items():
+    """Bundle enumeration against the DP at m 100-200 with mu 2-3.
+
+    C(200, 3) is 1,313,400 bundles, within the default budget.  Each
+    returned ranking must replay to the returned bundle and value.
+    """
+    gains = 0
+    for m in (100, 150, 200):
+        for mu in (2, 3):
+            for n in (3, 4):
+                for seed in (2, 3):
+                    for instance in (
+                        gen_random(seed, n, m, mu_manipulator=mu)[0],
+                        gen_correlated(seed, n, m, 3, mu_manipulator=mu)[0],
+                    ):
+                        result = solve_subset_enum(instance)
+                        optimum = solve_dp(instance).optimal_utility
+                        assert result.optimal_utility == optimum, (m, mu, n, seed)
+                        replay = simulate(instance, result.ranking).bundles[0]
+                        assert replay == result.bundle
+                        assert sum(instance.utilities[item] for item in replay) == optimum
+                        gains += optimum > sum(instance.utilities[item] for item in simulate(instance).bundles[0])
+    # Manipulation pays on 9 of the 48, so the walk has to search: up to
+    # 24,244 achievability checks on one.
+    assert gains == 9

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -191,6 +192,29 @@ def test_export_ilp(example_json):
     assert "16 variables, 8 equality rows, 8 greedy rows" in proc.stderr
     again = run_cli("export-ilp", stdin_text=example_json)
     assert again.stdout == proc.stdout
+
+
+@pytest.mark.parametrize(
+    "generate, digest",
+    [
+        (None, "547ba2f0818571d337b64f7de306788af91ef3d1fad3cbc1f26ca213f3395c4c"),
+        (
+            ["--type", "random", "--seed", "3", "--agents", "3", "--items", "40"],
+            "0a90d946acf5574d0b0aa9df59a8d98d7894929ad5cd6af262f9a55a01eaf927",
+        ),
+        (
+            ["--type", "correlated", "--seed", "5", "--agents", "4", "--items", "40", "--range-max", "3"],
+            "d057c338256f4764dd50f6e8e2ab249df2574ab6cf80200805481a009aa797a3",
+        ),
+    ],
+    ids=["running-example", "random-40", "correlated-40"],
+)
+def test_export_ilp_bytes_are_pinned(example_json, generate, digest):
+    """The SHA-256 of export-ilp's stdout, as the per-term writer printed it."""
+    source = example_json if generate is None else run_cli("generate", *generate).stdout
+    proc = run_cli("export-ilp", stdin_text=source)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
 def test_check_reports_bounds(example_json):

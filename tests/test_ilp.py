@@ -1,9 +1,11 @@
+import random
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import milp_solve, seeded_instances
+from lp_reference import reference_lp, reference_model
 from test_cli import character_mutations
 from seqalloc import (
     GreedyRow,
@@ -67,6 +69,62 @@ def test_export_contains_expected_rows(running_example):
     assert text.rstrip().endswith("End")
 
 
+def oracle_instances() -> dict:
+    """Random and correlated instances at m 8-40 with n 1-5, and the one-item one."""
+    cases = {"one-item": Instance(items=["x"], agents=["a"], sequence=[0], profile=[[0]], utilities=[1])}
+    for m in (8, 13, 21, 32, 40):
+        for n in range(1, 6):
+            cases[f"random-{n}-{m}"] = gen_random(500 + m, n, m)[0]
+            cases[f"correlated-{n}-{m}"] = gen_correlated(600 + m, n, m, 3)[0]
+    return cases
+
+
+ORACLE_INSTANCES = oracle_instances()
+
+
+@pytest.mark.parametrize("name", ORACLE_INSTANCES)
+def test_build_and_export_match_the_reference(name):
+    """Shared tuples and names change no row and no byte."""
+    instance = ORACLE_INSTANCES[name]
+    model = build_model(instance)
+    assert model == reference_model(instance)
+    text = export_lp(model)
+    assert text == reference_lp(model)
+    if model.manipulator_steps:
+        assert parse_lp(text) == model
+    # One agent owns every step: no greedy rows at all.
+    assert (instance.num_agents == 1) == (model.greedy_rows == ())
+
+
+def hand_built_models() -> dict:
+    """Models no instance builds: rows out of order, indices outside 1..m."""
+    base = build_model(gen_random(7, 3, 6)[0])
+    m = base.num_items
+    rows = list(base.greedy_rows)
+    random.Random(17).shuffle(rows)
+    cases = {"shuffled": base._replace(greedy_rows=tuple(rows))}
+    for odd in (0, m + 1, m + 3, -2):
+        cases[f"item-{odd}"] = base._replace(greedy_rows=(GreedyRow(odd, 2, (1, 3)), *rows))
+        cases[f"better-{odd}"] = base._replace(greedy_rows=(*rows, GreedyRow(2, 3, (odd, 1, odd))))
+        cases[f"step-{odd}"] = base._replace(greedy_rows=(*rows[:5], GreedyRow(4, odd, (2, 1)), *rows[5:]))
+        cases[f"all-{odd}"] = base._replace(greedy_rows=(GreedyRow(odd, odd, (odd,)), *rows))
+        cases[f"manipulator-step-{odd}"] = base._replace(manipulator_steps=(*base.manipulator_steps, odd))
+    return cases
+
+
+HAND_BUILT_MODELS = hand_built_models()
+
+
+@pytest.mark.parametrize("name", HAND_BUILT_MODELS)
+def test_export_matches_the_reference_on_hand_built_models(name):
+    assert export_lp(HAND_BUILT_MODELS[name]) == reference_lp(HAND_BUILT_MODELS[name])
+
+
+def test_parse_reads_rows_out_of_order():
+    model = HAND_BUILT_MODELS["shuffled"]
+    assert parse_lp(reference_lp(model)) == model
+
+
 def test_round_trip_is_byte_identical(running_example):
     model = build_model(running_example)
     text = export_lp(model)
@@ -102,6 +160,27 @@ def test_round_trip_on_random_instances():
 )
 def test_parse_rejects_foreign_text(text):
     with pytest.raises(ValueError):
+        parse_lp(text)
+
+
+RANDOM_40_LP = export_lp(build_model(gen_random(3, 3, 40)[0]))
+GREEDY_2_20 = RANDOM_40_LP[RANDOM_40_LP.index(" greedy_2_20: ") :].partition("\n")[0]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # The row names step 20 but holds none of its 19 earlier terms.
+        RANDOM_40_LP.replace(GREEDY_2_20, " greedy_2_20: x_2_20 >= 1"),
+        TWO_ITEM_LP.replace(" greedy_1_2: x_1_2 + x_1_1", " greedy_1_2: x_1_2 + x_3_2 + x_1_1"),
+        TWO_ITEM_LP.replace(" greedy_1_2: x_1_2 + x_1_1", " greedy_3_2: x_3_2 + x_3_1"),
+        TWO_ITEM_LP.replace(" greedy_1_2: x_1_2 + x_1_1", " greedy_1_3: x_1_3 + x_1_1 + x_1_2"),
+    ],
+    ids=["short-row", "better-item", "row-item", "step"],
+)
+def test_parse_names_the_row_it_rejects(text):
+    """Rows outside 1..m, or shorter than their earlier run, fail before any re-export."""
+    with pytest.raises(ValueError, match="is not a greedy cover row over items 1.."):
         parse_lp(text)
 
 
