@@ -13,12 +13,12 @@ fed to off-the-shelf MILP solvers; no solver is linked in.
 :func:`export_lp` is the one definition of the dialect: :func:`parse_lp`
 reads only the numbers and accepts a text only if re-exporting its model
 gives the same bytes.  :data:`MAX_LP_TERMS` caps the text's size, since the
-greedy rows hold O(m^3) terms.  Building, writing and reading all take
-time in proportion to the text's bytes, with per-term work done by
-``str`` methods: the model shares each agent's better-item tuples across
-her steps, the writer formats each variable name once and joins names
-into rows (a row's earlier steps are a prefix of its item's run of
-names), and the reader splits a row's better items out in one piece.
+greedy rows hold O(m^3) terms.  Building and writing take time in
+proportion to the text's bytes, with the per-term work done by ``str``
+and list methods: the model shares each agent's better-item tuples
+across her steps, and the writer formats each variable name once and
+joins names into rows.  No subcommand reads LP text; :func:`parse_lp`
+reads a row's better items one term at a time.
 The test suite solves the exported text with an external MILP solver,
 which shares nothing with the package's solvers.  It holds the optimum
 to the dynamic program's, the feasibility of a target-securing model to
@@ -109,33 +109,43 @@ def build_model(instance: Instance) -> IpModel:
     )
 
 
+class _Names(dict):
+    """A dict that makes each missing value as ``make(key)``, once."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 def export_lp(model: IpModel) -> str:
     """Serialize to LP-format text, byte-stable for diff-based tests.
 
     Zero objective coefficients are written out too, so the utilities
     survive a parse/export round trip exactly.  Each name x_{item}_{step}
-    is formatted once, for every item and step the model names (a
-    hand-built model may name any int).  A greedy row is one join of its
-    own name and the better items' names at its step, then its earlier
-    steps as a prefix of the item's run of names.
+    is formatted once: the m x m grid up front, and any other name (only
+    a hand-built model with indices outside 1..m writes one) when first
+    written.  A greedy row is one join of its own name, its better
+    items' names at its step and a prefix of the item's run of names.
     """
     m = model.num_items
     rows = model.greedy_rows
-    items = set(range(1, m + 1)).union([row.item for row in rows], *[row.better for row in rows])
-    reach = range(1, max([m, *[row.step - 1 for row in rows]]) + 1)
-    columns = {
-        step: {item: f"x_{item}_{step}" for item in items}
-        for step in {*reach, *model.manipulator_steps, *[row.step for row in rows]}
-    }
-    # runs[item] is " + x_{item}_1 + x_{item}_2 ..." over reach, and
-    # ends[item][k] the length of its first k terms.
-    runs, ends = {}, {}
-    for item in items:
-        terms = [" + " + columns[step][item] for step in reach]
-        runs[item] = "".join(terms)
-        ends[item] = cut = [0]
-        for term in terms:
-            cut.append(cut[-1] + len(term))
+    # runs[item] names x_{item}_1, x_{item}_2, ... up to step m for the
+    # items 1..m, or to the last earlier step the item's rows write.
+    last = dict.fromkeys(range(1, m + 1), m)
+    for item, step, _ in rows:
+        if last.get(item, 0) < step - 1:
+            last[item] = step - 1
+    runs = {item: [f"x_{item}_{step}" for step in range(1, end + 1)] for item, end in last.items()}
+    grid = [runs[item][:m] for item in range(1, m + 1)]
+    transposed = list(zip(*grid))
+    # columns[step][item] is x_{item}_{step}, from the grid or made when first asked for.
+    columns = _Names(lambda step: _Names(f"x_{{}}_{step}".format))
+    for step, names in enumerate(transposed, start=1):
+        columns[step].update(zip(range(1, m + 1), names))
     lines = ["Maximize"]
     terms = [
         f"{model.utilities[item - 1]} {columns[step][item]}"
@@ -144,19 +154,14 @@ def export_lp(model: IpModel) -> str:
     ]
     lines.append(" obj: " + " + ".join(terms) if terms else " obj:")
     lines.append("Subject To")
-    item_rows = [runs[item][3 : ends[item][m]] for item in range(1, m + 1)]
-    lines += [f" item_{item}: {row} = 1" for item, row in enumerate(item_rows, start=1)]
-    for step in range(1, m + 1):
-        column = columns[step]
-        total = " + ".join([column[item] for item in range(1, m + 1)])
-        lines.append(f" step_{step}: {total} = 1")
+    lines += [f" item_{item}: {' + '.join(names)} = 1" for item, names in enumerate(grid, start=1)]
+    lines += [f" step_{step}: {' + '.join(names)} = 1" for step, names in enumerate(transposed, start=1)]
     for item, step, better in rows:
         column = columns[step]
-        named = " + ".join([column[j] for j in (item, *better)])
-        earlier = runs[item][: ends[item][max(step - 1, 0)]]
-        lines.append(f" greedy_{item}_{step}: {named}{earlier} >= 1")
+        terms = [column[item], *map(column.__getitem__, better), *runs.get(item, ())[: max(step - 1, 0)]]
+        lines.append(f" greedy_{item}_{step}: {' + '.join(terms)} >= 1")
     lines.append("Binary")
-    lines += [" " + row.replace(" + ", "\n ") for row in item_rows]
+    lines += [" " + "\n ".join(names) for names in grid]
     lines.append("End\n")
     return "\n".join(lines)
 
@@ -168,62 +173,37 @@ def parse_lp(text: str) -> IpModel:
     coefficients and each greedy row's item, step and better items.  The
     text is accepted only if :func:`export_lp` writes it back byte for
     byte, so the dialect has that one definition; anything else raises
-    ValueError.  Before the re-export, the text must have the line count
-    of an exported model, every index must lie in 1..m, and each greedy
-    row must be long enough to hold the earlier-step run the re-export
-    writes for it; this keeps the re-export within a constant factor of
-    the input's length.  Each line is read where the export puts it.  A
-    greedy row's better items fill the span between its own name and its
-    earlier-step run, whose length follows from its item and step; the
-    span is split into numbers by ``str`` methods in one piece, and rows
-    naming the same better items share one tuple, as built models do.
-    """
-    model = _read_model(text)
-    if export_lp(model) != text:
-        raise ValueError("LP text is not what export_lp writes for the model it describes")
-    return model
-
-
-def _read_model(text: str) -> IpModel:
-    """The model whose export :func:`parse_lp` compares with ``text``.
-
-    Its lines are freed on return, before the re-export.
+    ValueError.  The counts the export depends on are checked against
+    the text first, which keeps the re-export within a constant factor
+    of the input's length.
     """
     lines = text.split("\n")
-    m = text.count("\n item_")
-    num_greedy = text.count("\n greedy_")
+    m = sum(line.startswith(" item_") for line in lines)
+    greedy = [line for line in lines if line.startswith(" greedy_")]
     # Six more: four section headers, the objective and the empty string
     # after the final newline.
-    if m < 1 or len(lines) != 2 * m + num_greedy + m * m + 6:
+    if m < 1 or len(lines) != 2 * m + len(greedy) + m * m + 6:
         raise ValueError("LP text does not have the line count of an exported model")
     _, _, objective = lines[1].partition(": ")
     coefficients = [int(term.partition(" ")[0]) for term in objective.split(" + ")] if objective else []
-    number = {str(j): j for j in range(1, m + 1)}  # the text of each index 1..m
-    digits = [0]  # digits[k]: characters in the numbers 1..k
-    for numeral in number:
-        digits.append(digits[-1] + len(numeral))
-    better_of: dict[str, tuple] = {"": ()}  # by the better items' numbers, " "-separated
     rows = []
-    for line in lines[2 * m + 3 : 2 * m + 3 + num_greedy]:
+    for line in greedy:
         name, _, body = line.partition(": ")
-        item_text, _, step_text = name[len(" greedy_") :].partition("_")
-        item, step = number.get(item_text), number.get(step_text)
-        if item and step:
-            # The body is x_{item}_{step}, the better items' " + x_{j}_{step}",
-            # the step - 1 earlier " + x_{item}_{t}", then " >= 1".
-            earlier = (step - 1) * (len(item_text) + 6) + digits[step - 1]
-            named = body[len(item_text) + len(step_text) + 3 : len(body) - earlier - 5]
-            key = named[5 : -len(step_text) - 1].replace(f"_{step_text} + x_", " ")
-            if key not in better_of:
-                better_of[key] = tuple(map(number.get, key.split(" ")))
-            # The text must hold the earlier run that the re-export writes.
-            if earlier < len(body) and None not in better_of[key]:
-                rows.append(GreedyRow(item, step, better_of[key]))
-                continue
-        raise ValueError(f"row {name.strip()!r} is not a greedy cover row over items 1..{m}")
+        item, step = (int(part) for part in name[len(" greedy_") :].split("_"))
+        terms = body.removesuffix(" >= 1").split(" + ")
+        # x_{item}_{step}, then the better items' x_{j}_{step}, then the
+        # step - 1 earlier x_{item}_{t}: the export checks every name, but
+        # not that the items exist.
+        better = tuple(int(term[2:].partition("_")[0]) for term in terms[1 : len(terms) - step + 1])
+        if not 1 <= step <= min(m, len(terms)) or not all(1 <= j <= m for j in (item, *better)):
+            raise ValueError(f"row {name.strip()!r} is not a greedy cover row over items 1..{m}")
+        rows.append(GreedyRow(item, step, better))
     greedy_steps = {row.step for row in rows}
     steps = tuple(t for t in range(1, m + 1) if t not in greedy_steps)
     if len(coefficients) != m * len(steps):
         raise ValueError("objective does not have one term per item and manipulator step")
     utilities = tuple(coefficients[:: len(steps)]) if steps else (0,) * m
-    return IpModel(num_items=m, utilities=utilities, manipulator_steps=steps, greedy_rows=tuple(rows))
+    model = IpModel(num_items=m, utilities=utilities, manipulator_steps=steps, greedy_rows=tuple(rows))
+    if export_lp(model) != text:
+        raise ValueError("LP text is not what export_lp writes for the model it describes")
+    return model

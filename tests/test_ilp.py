@@ -109,6 +109,10 @@ def hand_built_models() -> dict:
         cases[f"step-{odd}"] = base._replace(greedy_rows=(*rows[:5], GreedyRow(4, odd, (2, 1)), *rows[5:]))
         cases[f"all-{odd}"] = base._replace(greedy_rows=(GreedyRow(odd, odd, (odd,)), *rows))
         cases[f"manipulator-step-{odd}"] = base._replace(manipulator_steps=(*base.manipulator_steps, odd))
+    # Far outside 1..m: one row 20,000 steps on, and 10,000 distinct better items at one step.
+    cases["large-step"] = base._replace(greedy_rows=(*rows, GreedyRow(1, 20_000, (2,))))
+    wide = [GreedyRow(2, 3, tuple(range(100 + 50 * i, 150 + 50 * i))) for i in range(200)]
+    cases["many-better"] = base._replace(greedy_rows=(*rows, *wide))
     return cases
 
 
@@ -118,6 +122,19 @@ HAND_BUILT_MODELS = hand_built_models()
 @pytest.mark.parametrize("name", HAND_BUILT_MODELS)
 def test_export_matches_the_reference_on_hand_built_models(name):
     assert export_lp(HAND_BUILT_MODELS[name]) == reference_lp(HAND_BUILT_MODELS[name])
+
+
+@pytest.mark.parametrize("name", ["large-step", "many-better"])
+def test_export_memory_follows_the_text_on_hand_built_models(name):
+    """Only the names a model writes are made, not every (item, step) pair it spans."""
+    tracemalloc.start()
+    try:
+        text = export_lp(HAND_BUILT_MODELS[name])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # About 9 bytes per byte of text; a names grid over all items and steps takes 80-100.
+    assert peak < 16 * len(text)
 
 
 def test_parse_reads_rows_out_of_order():
