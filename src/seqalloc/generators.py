@@ -232,11 +232,9 @@ def gen_correlated(
     base = rng.shuffle(list(range(m)))
     profile = [rng.shuffle(list(range(m)))]
     for _ in range(n - 1):
-        row = base.copy()
+        row = []
         for start in range(0, m, target_range_max):
-            block = row[start : start + target_range_max]
-            rng.shuffle(block)
-            row[start : start + target_range_max] = block
+            row += rng.shuffle(base[start : start + target_range_max])
         profile.append(row)
     sequence = _random_sequence(rng, n, m, mu_manipulator)
     instance = Instance(

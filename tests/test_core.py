@@ -1,6 +1,9 @@
+import enum
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from seqalloc import (
     GraphInput,
@@ -13,6 +16,7 @@ from seqalloc import (
     simulate,
     truthful_utility,
 )
+from seqalloc.core import _require_permutation
 
 
 def test_truthful_simulation_bundles(running_example):
@@ -224,3 +228,198 @@ def test_records_differ_when_one_field_differs():
     assert graph != GraphInput(3, [(1, 2), (1, 3)])
     assert graph != GraphInput(3, [(1, 2), (2, 3)], coloring=[1, 2, 2])
     assert graph != GraphInput(4, [(1, 2), (1, 3)], coloring=[1, 2, 2, 2])
+
+
+# Validation verdicts pinned entry by entry, as the per-entry checks
+# gave them before the C-level passes went in front of them.  Each bad
+# value replaces the second entry of the sequence, of profile row 1, of
+# the utilities or of simulate's reported ranking in the running
+# example; "short" drops the last entry and "long" appends a valid one.
+# None means the input is accepted.
+BAD_VALUES = {"true": True, "float": 1.0, "str": "1", "none": None, "negative": -1}
+BAD_FIELDS = {
+    # field: (valid entries, out of range, duplicate, appended when long)
+    "sequence": ([0, 1, 2, 0], 3, 0, 1),
+    "profile": ([2, 3, 0, 1], 4, 2, 0),
+    "utilities": ([5, 4, 3, 1], 2**63, 5, 0),
+    "ranking": ([0, 1, 2, 3], 4, 0, 3),
+}
+NOT_AGENT = "sequence entry {} is not an agent index"
+ROW_1 = ("non-permutation", "profile row 1 is not a permutation of 0..3")
+RANKING = ("non-permutation", "reported ranking is not a permutation of 0..3")
+NOT_INT = "utility {} is not an integer"
+NOT_STRICT = "utilities must strictly decrease along the manipulator's ranking (violated between items {} and {})"
+VERDICTS = {
+    ("sequence", "true"): ("sequence-entry", NOT_AGENT.format("True")),
+    ("sequence", "float"): ("sequence-entry", NOT_AGENT.format("1.0")),
+    ("sequence", "str"): ("sequence-entry", NOT_AGENT.format("'1'")),
+    ("sequence", "none"): ("sequence-entry", NOT_AGENT.format("None")),
+    ("sequence", "negative"): ("sequence-entry", NOT_AGENT.format("-1")),
+    ("sequence", "out-of-range"): ("sequence-entry", NOT_AGENT.format("3")),
+    ("sequence", "duplicate"): None,
+    ("sequence", "short"): ("length-mismatch", "sequence has 3 entries for 4 items"),
+    ("sequence", "long"): ("length-mismatch", "sequence has 5 entries for 4 items"),
+    **{("profile", name): ROW_1 for name in [*BAD_VALUES, "out-of-range", "duplicate"]},
+    ("profile", "short"): ("non-permutation", "profile row 1 has 3 entries for 4 items"),
+    ("profile", "long"): ("non-permutation", "profile row 1 has 5 entries for 4 items"),
+    ("utilities", "true"): ("malformed", NOT_INT.format("True")),
+    ("utilities", "float"): ("malformed", NOT_INT.format("1.0")),
+    ("utilities", "str"): ("malformed", NOT_INT.format("'1'")),
+    ("utilities", "none"): ("malformed", NOT_INT.format("None")),
+    ("utilities", "negative"): ("negative-utility", "utility -1 is negative"),
+    ("utilities", "out-of-range"): ("utility-overflow", "utilities sum past the signed 64-bit limit"),
+    ("utilities", "duplicate"): ("non-strict-utilities", NOT_STRICT.format(0, 1)),
+    ("utilities", "short"): ("length-mismatch", "utilities list 3 values for 4 items"),
+    ("utilities", "long"): ("length-mismatch", "utilities list 5 values for 4 items"),
+    **{("ranking", name): RANKING for name in [*BAD_VALUES, "out-of-range", "duplicate"]},
+    ("ranking", "short"): ("non-permutation", "reported ranking has 3 entries for 4 items"),
+    ("ranking", "long"): ("non-permutation", "reported ranking has 5 entries for 4 items"),
+}
+
+
+def bad_entries(field: str, name: str) -> list:
+    valid, out_of_range, duplicate, extra = BAD_FIELDS[field]
+    if name == "short":
+        return valid[:-1]
+    if name == "long":
+        return valid + [extra]
+    value = {**BAD_VALUES, "out-of-range": out_of_range, "duplicate": duplicate}[name]
+    return [valid[0], value, *valid[2:]]
+
+
+def verdict(running_example, field: str, entries) -> tuple[str, str] | None:
+    """The error code and message for ``entries`` in ``field``, or None if accepted."""
+    fields = _example_fields(running_example)
+    try:
+        if field == "ranking":
+            simulate(running_example, entries)
+        elif field == "profile":
+            fields["profile"][1] = entries
+            Instance(**fields)
+        else:
+            fields[field] = entries
+            Instance(**fields)
+    except InvalidInstanceError as err:
+        return err.code, str(err)
+    return None
+
+
+def test_verdict_table_covers_every_bad_input():
+    names = [*BAD_VALUES, "out-of-range", "duplicate", "short", "long"]
+    assert sorted(VERDICTS) == sorted((field, name) for field in BAD_FIELDS for name in names)
+
+
+@pytest.mark.parametrize("field, name", sorted(VERDICTS))
+def test_validation_verdicts_are_pinned(running_example, field, name):
+    # A TypeError from comparing or sorting mixed types would escape here.
+    assert verdict(running_example, field, bad_entries(field, name)) == VERDICTS[field, name]
+
+
+@pytest.mark.parametrize(
+    "field, entries, expected",
+    [
+        # The message names the first offender in entry order.
+        ("sequence", [0, 7, "x", 0], ("sequence-entry", NOT_AGENT.format("7"))),
+        ("sequence", [0, "x", 7, 0], ("sequence-entry", NOT_AGENT.format("'x'"))),
+        ("sequence", [None, 0, 1.5, 0], ("sequence-entry", NOT_AGENT.format("None"))),
+        ("utilities", [5, -1, "x", 1], ("negative-utility", "utility -1 is negative")),
+        ("utilities", [5, "x", -1, 1], ("malformed", NOT_INT.format("'x'"))),
+        ("utilities", [5, 4, 4, 4], ("non-strict-utilities", NOT_STRICT.format(1, 2))),
+        ("utilities", [1, 2, 3, 4], ("non-strict-utilities", NOT_STRICT.format(0, 1))),
+        # Sorting any of these rows would raise TypeError.
+        ("profile", [0, "a", 2, 3], ROW_1),
+        ("profile", [[0], 1, 2, 3], ROW_1),
+        ("ranking", [3, 2, None, 0], RANKING),
+        ("ranking", [3.0, 2, 1, 0], RANKING),
+        ("ranking", [False, 1, 2, 3], RANKING),
+    ],
+)
+def test_validation_names_the_first_offender(running_example, field, entries, expected):
+    assert verdict(running_example, field, entries) == expected
+
+
+class Item(enum.IntEnum):
+    FIRST = 0
+    SECOND = 1
+    THIRD = 2
+    FOURTH = 3
+
+
+class Name(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "field, entries",
+    [
+        ("profile", list(Item)),
+        ("profile", [Item.THIRD, 3, Item.FIRST, 1]),
+        ("ranking", list(reversed(Item))),
+        ("sequence", [Item.FIRST, Item.SECOND, Item.THIRD, 0]),
+        ("utilities", [5, 4, Item.FOURTH, Item.SECOND]),
+    ],
+)
+def test_int_subclasses_are_still_accepted(running_example, field, entries):
+    assert verdict(running_example, field, entries) is None
+
+
+def test_str_subclass_names_are_still_accepted(running_example):
+    fields = _example_fields(running_example)
+    fields["items"] = [Name(item) for item in fields["items"]]
+    assert Instance(**fields).items == running_example.items
+
+
+@pytest.mark.parametrize("names", [["i1", 2, "i3", "i4"], ["i1", "", "i3", "i4"], ["i1", ["i2"], "i3", "i4"]])
+def test_item_names_must_be_nonempty_strings(running_example, names):
+    fields = _example_fields(running_example)
+    fields["items"] = names
+    with pytest.raises(InvalidInstanceError, match="item and agent names must be nonempty strings"):
+        Instance(**fields)
+
+
+def entry_by_entry_permutation_check(row, m, label):
+    """The per-entry loop that _require_permutation ran alone before its C-level passes."""
+    if len(row) != m:
+        raise InvalidInstanceError("non-permutation", f"{label} has {len(row)} entries for {m} items")
+    seen = [False] * m
+    for item in row:
+        if not isinstance(item, int) or isinstance(item, bool) or not 0 <= item < m or seen[item]:
+            raise InvalidInstanceError("non-permutation", f"{label} is not a permutation of 0..{m - 1}")
+        seen[item] = True
+
+
+def permutation_verdict(check, row, m):
+    try:
+        check(row, m, "row")
+    except InvalidInstanceError as err:
+        return err.code, str(err)
+    return None
+
+
+ODD_ENTRIES = st.one_of(
+    st.integers(-2, 7),
+    st.booleans(),
+    st.sampled_from(list(Item)),
+    st.floats(allow_nan=False, min_value=-1, max_value=7),
+    st.text(max_size=1),
+    st.none(),
+)
+
+
+@st.composite
+def mixed_rows(draw):
+    m = draw(st.integers(1, 6))
+    row = draw(st.permutations(range(m)))
+    # Overwrite a few entries with anything, and sometimes resize the row.
+    for _ in range(draw(st.integers(0, 2))):
+        row[draw(st.integers(0, m - 1))] = draw(ODD_ENTRIES)
+    row = row[: draw(st.integers(m - 1, m))] + draw(st.lists(ODD_ENTRIES, max_size=1))
+    return draw(st.sampled_from([list, tuple]))(row), m
+
+
+@settings(max_examples=400, deadline=None)
+@given(mixed_rows())
+def test_permutation_check_matches_the_entry_by_entry_loop(case):
+    row, m = case
+    expected = permutation_verdict(entry_by_entry_permutation_check, row, m)
+    assert permutation_verdict(_require_permutation, row, m) == expected

@@ -1,5 +1,8 @@
+import hashlib
 import itertools
+import json
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -320,3 +323,43 @@ def test_metadata_json_is_canonical():
     text = metadata_to_json(metadata)
     assert text.endswith("\n")
     assert text == metadata_to_json(dict(reversed(list(metadata.items()))))
+
+
+# SHA-256 of instance JSON plus metadata JSON over a grid of shapes, all
+# at seed 11, recorded from the draw-at-a-time generator that preceded
+# block-computed draws.  Pinned so that any change to the stream, to the
+# draws a generator makes or to validation shows up as a changed byte.
+DIGESTS = json.loads(Path(__file__).with_name("generator_digests.json").read_text())
+
+
+def digest_grid():
+    """Case name -> generator call, for every valid grid point."""
+    cases = {}
+    for n in (1, 2, 10):
+        for m in (1, 2, 200, 1000):
+            for mu in (None, 0, m):
+                if n == 1 and mu not in (None, m):
+                    continue  # a single agent holds every turn
+                cases[f"random n={n} m={m} mu={mu} target=None"] = (gen_random, (11, n, m, mu))
+                for target in sorted({1, 3, m}):
+                    if target <= m:
+                        cases[f"correlated n={n} m={m} mu={mu} target={target}"] = (
+                            gen_correlated,
+                            (11, n, m, target, mu),
+                        )
+    return cases
+
+
+DIGEST_GRID = digest_grid()
+
+
+def test_digest_grid_covers_every_pinned_case():
+    assert sorted(DIGEST_GRID) == sorted(DIGESTS)
+
+
+@pytest.mark.parametrize("case", sorted(DIGEST_GRID))
+def test_generated_bytes_are_pinned(case):
+    generate, args = DIGEST_GRID[case]
+    instance, metadata = generate(*args)
+    text = instance.to_json() + metadata_to_json(metadata)
+    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[case]
