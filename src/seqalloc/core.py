@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import importlib
 import json
-import operator
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 MANIPULATOR = 0
@@ -182,26 +181,14 @@ class Instance(_Record):
             raise InvalidInstanceError("malformed", f"instance JSON has a wrong field shape: {exc}") from exc
 
 
-# Each check below first makes C-level passes over a field (the set of
-# entry types, then min/max or a sort), which can only accept.  Exact
-# int and str types are the ones they admit, so bool never slips
-# through and comparisons never meet a mixed type; a field that fails
-# them, or holds int or str subclasses, goes through the per-entry loop,
-# which names the first offender or accepts.
-_INT = {int}
-_STR = {str}
-
-
 def _check_instance(inst: Instance) -> None:
     m = len(inst.items)
     n = len(inst.agents)
     if m == 0 or n == 0:
         raise InvalidInstanceError("empty", "instance needs at least one item and one agent")
-    names = inst.items + inst.agents
-    if not (set(map(type, names)) <= _STR and "" not in names):
-        for name in names:
-            if not isinstance(name, str) or not name:
-                raise InvalidInstanceError("malformed", "item and agent names must be nonempty strings")
+    for name in inst.items + inst.agents:
+        if not isinstance(name, str) or not name:
+            raise InvalidInstanceError("malformed", "item and agent names must be nonempty strings")
     if len(set(inst.items)) != m:
         raise InvalidInstanceError("duplicate-name", "item names must be unique")
     if len(set(inst.agents)) != n:
@@ -212,10 +199,9 @@ def _check_instance(inst: Instance) -> None:
             "length-mismatch",
             f"sequence has {len(inst.sequence)} entries for {m} items",
         )
-    if not (set(map(type, inst.sequence)) <= _INT and min(inst.sequence) >= 0 and max(inst.sequence) < n):
-        for entry in inst.sequence:
-            if not isinstance(entry, int) or isinstance(entry, bool) or not 0 <= entry < n:
-                raise InvalidInstanceError("sequence-entry", f"sequence entry {entry!r} is not an agent index")
+    for entry in inst.sequence:
+        if not isinstance(entry, int) or isinstance(entry, bool) or not 0 <= entry < n:
+            raise InvalidInstanceError("sequence-entry", f"sequence entry {entry!r} is not an agent index")
 
     if len(inst.profile) != n:
         raise InvalidInstanceError(
@@ -230,32 +216,26 @@ def _check_instance(inst: Instance) -> None:
             "length-mismatch",
             f"utilities list {len(inst.utilities)} values for {m} items",
         )
-    exact = set(map(type, inst.utilities)) <= _INT
-    if not (exact and min(inst.utilities) >= 0):
-        for u in inst.utilities:
-            if not isinstance(u, int) or isinstance(u, bool):
-                raise InvalidInstanceError("malformed", f"utility {u!r} is not an integer")
-            if u < 0:
-                raise InvalidInstanceError("negative-utility", f"utility {u} is negative")
+    for u in inst.utilities:
+        if not isinstance(u, int) or isinstance(u, bool):
+            raise InvalidInstanceError("malformed", f"utility {u!r} is not an integer")
+        if u < 0:
+            raise InvalidInstanceError("negative-utility", f"utility {u} is negative")
     if sum(inst.utilities) > UTILITY_SUM_LIMIT:
         raise InvalidInstanceError("utility-overflow", "utilities sum past the signed 64-bit limit")
     top_row = inst.profile[MANIPULATOR]
-    ranked = list(map(inst.utilities.__getitem__, top_row))
-    if not (exact and all(map(operator.gt, ranked, ranked[1:]))):
-        for pos in range(m - 1):
-            if inst.utilities[top_row[pos]] <= inst.utilities[top_row[pos + 1]]:
-                raise InvalidInstanceError(
-                    "non-strict-utilities",
-                    "utilities must strictly decrease along the manipulator's ranking "
-                    f"(violated between items {top_row[pos]} and {top_row[pos + 1]})",
-                )
+    for pos in range(m - 1):
+        if inst.utilities[top_row[pos]] <= inst.utilities[top_row[pos + 1]]:
+            raise InvalidInstanceError(
+                "non-strict-utilities",
+                "utilities must strictly decrease along the manipulator's ranking "
+                f"(violated between items {top_row[pos]} and {top_row[pos + 1]})",
+            )
 
 
 def _require_permutation(row: Sequence[int], m: int, label: str) -> None:
     if len(row) != m:
         raise InvalidInstanceError("non-permutation", f"{label} has {len(row)} entries for {m} items")
-    if set(map(type, row)) <= _INT and sorted(row) == list(range(m)):
-        return
     seen = [False] * m
     for item in row:
         if not isinstance(item, int) or isinstance(item, bool) or not 0 <= item < m or seen[item]:

@@ -15,9 +15,11 @@ lane; every lane is masked back to 64 bits before each multiply, which
 also clears the bits a right shift brings in from the lane above.  The
 block's bytes are then read as native 64-bit words, two per lane, and
 the low word of each lane is one draw.  The draws equal the scalar
-recurrence's, in order, on every platform.  A stream's first block has
-``_FIRST_LANES`` lanes and each later one twice the lanes of the one
-before, up to ``_LANES``, so a stream that needs few draws computes few.
+recurrence's, in order; the tests check this on little-endian hosts,
+and the big-endian word order is derived but untested.  A stream's
+first block has ``_FIRST_LANES`` lanes and each later one twice the
+lanes of the one before, up to ``_LANES``, so a stream that needs few
+draws computes few.
 """
 
 from __future__ import annotations

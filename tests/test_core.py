@@ -230,8 +230,8 @@ def test_records_differ_when_one_field_differs():
     assert graph != GraphInput(4, [(1, 2), (1, 3)], coloring=[1, 2, 2, 2])
 
 
-# Validation verdicts pinned entry by entry, as the per-entry checks
-# gave them before the C-level passes went in front of them.  Each bad
+# Validation verdicts pinned input by input, so a faster form of the
+# checks must give the same code and message for each.  Each bad
 # value replaces the second entry of the sequence, of profile row 1, of
 # the utilities or of simulate's reported ranking in the running
 # example; "short" drops the last entry and "long" appends a valid one.
@@ -378,7 +378,7 @@ def test_item_names_must_be_nonempty_strings(running_example, names):
 
 
 def entry_by_entry_permutation_check(row, m, label):
-    """The per-entry loop that _require_permutation ran alone before its C-level passes."""
+    """An entry-by-entry permutation check, the oracle for _require_permutation."""
     if len(row) != m:
         raise InvalidInstanceError("non-permutation", f"{label} has {len(row)} entries for {m} items")
     seen = [False] * m
