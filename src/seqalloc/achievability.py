@@ -18,8 +18,11 @@ the worst case, exponential only in the number of the manipulator's
 turns) and one trying every reported ranking (factorial, cross-check
 only).  The branch and bound cuts a branch when the chosen items plus
 the largest utilities still available fall below the best bundle found
-so far; sets cut that way would lose on value alone, so it makes
-exactly the achievability checks that a scan of every set would.
+so far, or when the chosen items miss their sit-out deadlines: the
+number of her turns before another agent takes each item in a run
+where she never picks.  Sets cut either way lose on value or cannot be
+secured, so it returns what a scan of every set would, and replays the
+greedy rule only on the sets that pass both tests.
 Every replay here picks through :func:`~seqalloc.core.greedy_pick`, the
 same kernel as ``simulate``.
 """
@@ -151,6 +154,33 @@ def _most_endangered(
     return max(unsecured, key=utilities.__getitem__)
 
 
+def _sit_out_deadlines(protocol: _Protocol) -> list[int]:
+    """Per item, how many of her turns come before anyone else takes it.
+
+    The protocol is replayed with the manipulator never picking.  An
+    item another agent takes at some step gets the number of her turns
+    before that step; an item nobody takes gets mu.  Removing items
+    only moves the other agents on, so by induction over the steps every
+    item taken in this run is taken by the same step in any real run,
+    unless she took it first.  An item with deadline d that she holds at
+    the end was therefore taken at one of her first d turns, and a set
+    she can secure, sorted by deadline, has its i-th (0-based) at least
+    i + 1.
+    """
+    sequence, profile, others, utilities = protocol
+    mu = len(sequence) - len(others)
+    deadlines = [mu] * len(utilities)
+    taken = [False] * len(utilities)
+    cursors = [0] * len(profile)
+    turns = 0
+    for agent in sequence:
+        if agent == MANIPULATOR:
+            turns += 1
+        else:
+            deadlines[greedy_pick(profile[agent], cursors, agent, taken)] = turns
+    return deadlines
+
+
 def _completion_bounds(utilities: tuple[int, ...], mu: int) -> list[list[int]]:
     """``bounds[d][j]``: the most that mu - d items from j + d onward can add.
 
@@ -187,16 +217,20 @@ def solve_subset_enum(instance: Instance, budget: int = DEFAULT_SUBSET_BUDGET) -
     are walked depth first in lexicographic order, an explicit stack
     holding the chosen prefix and its utility.  A branch is cut once
     the prefix plus the largest utilities still available falls below
-    the incumbent, so every cut set would have lost on value alone.  A
+    the incumbent, so every set cut there would have lost on value.  It
+    is also cut once the prefix fails the scheduling test on the items'
+    sit-out deadlines (see :func:`_sit_out_deadlines`); the test only
+    gets harder as items are added, so no set below is securable.  A
     set that survives to a leaf is checked for achievability only when
     it beats the incumbent: higher value, or equal value and
-    lexicographically smaller.  The sets checked, and the order they
-    are checked in, are those of a plain scan over all C(m, mu) sets;
-    only the sets that lose on value are skipped faster.  Ties in value
+    lexicographically smaller.  The sets checked are those of a plain
+    scan over all C(m, mu) sets, in the same order, less the ones the
+    deadlines rule out, so the result is the scan's.  Ties in value
     resolve to the lexicographically smallest sorted set.
 
     ``subsets_enumerated`` reports C(m, mu), the worst case, which is
-    held to ``budget`` before the walk starts.
+    held to ``budget`` before the walk starts; ``achievability_checks``
+    counts the greedy replays actually run.
     """
     start = time.perf_counter()
     m = instance.num_items
@@ -221,10 +255,14 @@ def solve_subset_enum(instance: Instance, budget: int = DEFAULT_SUBSET_BUDGET) -
     if mu:
         protocol = _Protocol.of(instance)
         bounds = _completion_bounds(utilities, mu)
+        deadlines = _sit_out_deadlines(protocol)
         slack = m - mu
         last = mu - 1
         picks = [0] * mu
         values = [0] * mu  # values[d]: utility of picks[:d]
+        # rooms[d][k]: k minus the items of picks[:d] with deadline <= k,
+        # the turns among her first k still free; no entry may go negative.
+        rooms = [list(range(mu))] * mu
         depth = item = 0
         while True:
             j = item - depth
@@ -240,9 +278,16 @@ def solve_subset_enum(instance: Instance, budget: int = DEFAULT_SUBSET_BUDGET) -
             item += 1
             if value + bounds[depth + 1][j] < best_value:
                 continue
+            room = rooms[depth]
+            deadline = deadlines[picks[depth]]
+            if deadline < mu and min(room[deadline:]) < 1:
+                continue  # no superset of picks[: depth + 1] is securable
             if depth < last:
                 depth += 1
                 values[depth] = value
+                if deadline < mu:
+                    room = room[:deadline] + [free - 1 for free in room[deadline:]]
+                rooms[depth] = room
                 continue
             if value == best_value and tuple(picks) >= best_set:
                 continue

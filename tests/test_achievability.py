@@ -3,7 +3,9 @@ import json
 import math
 import tracemalloc
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from conftest import milp_solve, seeded_instances, seeded_targets
 from seqalloc import (
@@ -11,6 +13,7 @@ from seqalloc import (
     Instance,
     ManipulationResult,
     ResourceLimitError,
+    achievability,
     build_model,
     cli,
     export_lp,
@@ -240,8 +243,11 @@ def test_subset_enum_without_manipulator_turns():
     assert result.stats["subsets_enumerated"] == 1
 
 
-def plain_scan(instance):
-    """Every mu-item set in lexicographic order; public checks; ties to the smallest set."""
+def plain_scan(instance, checked):
+    """Every mu-item set in lexicographic order; public checks; ties to the smallest set.
+
+    Appends each set it checks to ``checked``, in order.
+    """
     utilities = instance.utilities
     mu = instance.manipulator_turns()
     best_set = tuple(sorted(simulate(instance).bundles[0]))
@@ -253,6 +259,7 @@ def plain_scan(instance):
         if value < best_value or (value == best_value and subset >= best_set):
             continue
         checks += 1
+        checked.append(subset)
         certificate = is_achievable(instance, subset)
         if certificate.achievable:
             best_set, best_value, ranking = subset, value, certificate.ranking
@@ -265,14 +272,29 @@ def plain_scan(instance):
     return ManipulationResult(best_value, tuple(ranking), frozenset(best_set), stats)
 
 
-def test_subset_enum_matches_plain_scan():
-    """Branch and bound against the scan it prunes: same JSON, checks included.
+def without_checks(result: ManipulationResult) -> dict:
+    doc = json.loads(result.to_json())
+    del doc["stats"]["achievability_checks"]
+    return doc
+
+
+def test_subset_enum_matches_plain_scan(monkeypatch):
+    """Branch and bound against the scan it prunes: same JSON but for the checks.
 
     Random and correlated instances at m 10-20 (mu the largest turn count
-    keeping C(m, mu) at most 5,000) and both clique gadgets.  Equal
-    ``achievability_checks`` means the bound skipped only sets the scan
-    would not have checked either.
+    keeping C(m, mu) at most 5,000) and both clique gadgets.  The walk
+    replays only sets the scan checks too, and every set the scan checks
+    that the walk skips (cut by value or by the sit-out deadlines) is one
+    ``is_achievable`` rejects.  The deadlines must spare replays on some
+    instance.
     """
+    replayed = []
+    secure = achievability._secure
+
+    def recording_secure(protocol, target):
+        replayed.append(tuple(target))
+        return secure(protocol, target)
+
     instances = []
     for index, m in enumerate(range(10, 21)):
         n = 2 + index % 4
@@ -286,12 +308,23 @@ def test_subset_enum_matches_plain_scan():
     ):
         instances.append(gen_clique_reduction(GraphInput(5, edges), 3)[0])
 
-    improved = 0
+    improved = spared = 0
     for instance in instances:
-        expected = plain_scan(instance)
-        assert solve_subset_enum(instance).to_json() == expected.to_json(), instance.to_json()
+        scanned = []
+        expected = plain_scan(instance, scanned)
+        replayed.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(achievability, "_secure", recording_secure)
+            result = solve_subset_enum(instance)
+        assert without_checks(result) == without_checks(expected), instance.to_json()
+        assert result.stats["achievability_checks"] == len(replayed)
+        assert set(replayed) <= set(scanned), instance.to_json()
+        for subset in set(scanned) - set(replayed):
+            assert not is_achievable(instance, subset).achievable, (instance.to_json(), subset)
         improved += expected.ranking != instance.profile[0]
+        spared += len(replayed) < len(scanned)
     assert improved >= 10
+    assert spared
 
 
 def test_subset_enum_ties_go_to_the_smallest_set():
@@ -322,8 +355,9 @@ def test_subset_enum_ties_go_to_the_smallest_set():
 def test_subset_enum_keeps_a_unique_truthful_optimum():
     """Only the truthful bundle is optimal, so the truthful report comes back.
 
-    a2 takes i2 then i1 before she picks; {i2, i4} (13) is checked and
-    fails, and the truthful {i3, i4} (11) stays.
+    a2 takes i2 then i1 before she picks.  {i2, i4} (13) beats the
+    truthful {i3, i4} (11) on value, but i2 is gone before her first
+    turn, so the walk cuts it without a replay and checks nothing.
     """
     instance = Instance(
         items=["i1", "i2", "i3", "i4"],
@@ -336,7 +370,71 @@ def test_subset_enum_keeps_a_unique_truthful_optimum():
     assert result.optimal_utility == solve_bruteforce_rankings(instance).optimal_utility == 11
     assert result.bundle == {2, 3}
     assert result.ranking == instance.profile[0]
-    assert result.stats["achievability_checks"] == 1
+    assert result.stats["achievability_checks"] == 0
+    assert not is_achievable(instance, {1, 3}).achievable
+
+
+def meets_deadlines(deadlines, target) -> bool:
+    """Sorted by sit-out deadline, the i-th target (0-based) has deadline at least i + 1."""
+    return all(deadline >= index + 1 for index, deadline in enumerate(sorted(deadlines[item] for item in target)))
+
+
+def test_sit_out_deadlines_admit_every_securable_target():
+    """No target that the greedy rule secures fails the sit-out deadline test.
+
+    Random and correlated instances with n <= 5 and m <= 12, and every
+    target of at most min(mu, 3) items.  Some targets must fail the test,
+    and some securable ones must meet a deadline exactly, so a test one
+    turn stricter would fail here.
+    """
+    seen = {"rejected": 0, "exact": 0}
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        correlated=st.booleans(),
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 5),
+        data=st.data(),
+    )
+    def check(correlated, seed, n, data):
+        m = data.draw(st.integers(1, 12), label="m")
+        mu = data.draw(st.integers(0, m), label="mu") if n > 1 else m
+        if correlated:
+            instance = gen_correlated(seed, n, m, data.draw(st.integers(1, m), label="range"), mu_manipulator=mu)[0]
+        else:
+            instance = gen_random(seed, n, m, mu_manipulator=mu)[0]
+        deadlines = achievability._sit_out_deadlines(achievability._Protocol.of(instance))
+        for size in range(1, min(mu, 3) + 1):
+            for target in itertools.combinations(range(m), size):
+                if not meets_deadlines(deadlines, target):
+                    assert not is_achievable(instance, target).achievable, (instance.to_json(), target, deadlines)
+                    seen["rejected"] += 1
+                elif is_achievable(instance, target).achievable:
+                    ordered = sorted(deadlines[item] for item in target)
+                    seen["exact"] += any(deadline == index + 1 for index, deadline in enumerate(ordered))
+
+    check()
+    assert seen["rejected"] and seen["exact"], seen
+
+
+def test_subset_enum_regressions_where_the_truthful_bundle_is_optimal():
+    """Two 200-item instances (mu 3) whose truthful bundle is already optimal.
+
+    Every bundle that beats it on value is unsecurable: the utility
+    bound alone leaves 64,167 and 24,244 of them to replay.  The sit-out
+    deadlines leave 2,523 and 580, pinned here.
+    """
+    for instance, optimum, checks in (
+        (gen_correlated(4, 4, 200, 3, mu_manipulator=3)[0], 468, 2523),
+        (gen_random(2, 4, 200, mu_manipulator=3)[0], 504, 580),
+    ):
+        result = solve_subset_enum(instance)
+        assert result.optimal_utility == solve_dp(instance).optimal_utility == optimum
+        assert sum(instance.utilities[item] for item in simulate(instance).bundles[0]) == optimum
+        replay = simulate(instance, result.ranking).bundles[0]
+        assert replay == result.bundle
+        assert sum(instance.utilities[item] for item in replay) == optimum
+        assert result.stats["achievability_checks"] == checks
 
 
 def test_subset_enum_at_extreme_turn_counts(tmp_path):
@@ -484,5 +582,5 @@ def test_subset_enum_matches_dp_at_100_to_200_items():
                         assert sum(instance.utilities[item] for item in replay) == optimum
                         gains += optimum > sum(instance.utilities[item] for item in simulate(instance).bundles[0])
     # Manipulation pays on 9 of the 48, so the walk has to search: up to
-    # 24,244 achievability checks on one.
+    # 580 achievability checks on one.
     assert gains == 9
